@@ -36,8 +36,8 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
 #: Set-up samples per workload.  ntt_batch takes one: its set-up spends
-#: ~30 s deriving the twiddle tables of 16 primes at N = 2^14, and three
-#: samples would not fit the time a run may take.
+#: tens of seconds deriving the twiddle tables of 16 primes at N = 2^14,
+#: and three samples would not fit the time a run may take.
 SETUP_SAMPLES = {"ntt_batch": 1, "he_bootstrap": 3, "serve_mix": 3}
 
 #: Wall-clock limit for the whole run, under the 180 s a run may take.
@@ -47,8 +47,8 @@ DEADLINE_S = 170.0
 def _environment() -> dict:
     env = {key: value for key, value in os.environ.items() if not key.startswith("REPRO_")}
     env["PYTHONPATH"] = str(ROOT / "src")
-    # One thread per process: the box has two cores, one for the worker
-    # and one for the serve_mix server.
+    # One compute thread per process: the workloads are sized for two
+    # cores, one for the worker and one for the serve_mix server.
     for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[key] = "1"
     return env
