@@ -9,6 +9,8 @@
 * :func:`timed_loop` — the closed loop the in-process workloads run: one
   operation at a time for a fixed wall-clock window, each output checked
   outside its timed interval.
+* :func:`end_to_end` — the end-to-end metrics of a window, each a median
+  over slices of it.
 * statistics helpers and the per-layer ledger printer.
 """
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -158,11 +161,14 @@ def timed_loop(seconds: float, op, check, spans: Spans | None):
 
     With ``spans`` every even-numbered operation is traced and every odd
     one is not, so the traced and untraced latencies come from the same
-    window.  Returns ``(latencies, traced, failed, wall seconds)`` where
-    ``traced[i]`` says whether latency ``i`` was measured under tracing.
+    window.  Returns ``(latencies, done, traced, failed, wall seconds)``
+    where ``done[i]`` is when operation ``i`` finished, in seconds from
+    the start of the window, and ``traced[i]`` says whether it was
+    measured under tracing.
     """
     traced_op = spans.wrap("op", op) if spans is not None else op
     latencies: list[float] = []
+    done: list[float] = []
     traced: list[bool] = []
     failed = 0
     start = time.perf_counter()
@@ -178,29 +184,60 @@ def timed_loop(seconds: float, op, check, spans: Spans | None):
             else:
                 out = op(index)
         except Exception as exc:  # a failed op is counted, not fatal
-            latencies.append(time.perf_counter() - began)
+            finished = time.perf_counter()
+            latencies.append(finished - began)
+            done.append(finished - start)
             traced.append(trace_this)
             failed += 1
             print("op %d failed: %s: %s" % (index, type(exc).__name__, exc))
             index += 1
             continue
-        latencies.append(time.perf_counter() - began)
+        finished = time.perf_counter()
+        latencies.append(finished - began)
+        done.append(finished - start)
         traced.append(trace_this)
         if not check(index, out):
             failed += 1
         index += 1
-    return latencies, traced, failed, time.perf_counter() - start
+    return latencies, done, traced, failed, time.perf_counter() - start
 
 
-def end_to_end(latencies, failed: int, wall: float, rss_mb: float) -> dict:
+#: Slices of the timed window: the operations in order of completion, cut
+#: into this many runs of equal count.  Latency percentiles and throughput
+#: are medians over the slices of each slice's own figure, so a burst of
+#: contention from other tenants of a shared host that spoils fewer than
+#: half of the slices does not move them.
+SLICES = 10
+
+
+def _slices(latencies, done):
+    """``(latencies, completions per second)`` of each slice; both lists
+    are in order of completion."""
+    count = min(SLICES, len(done))
+    out = []
+    previous = 0.0
+    for k in range(count):
+        low, high = k * len(done) // count, (k + 1) * len(done) // count
+        out.append((latencies[low:high], (high - low) / (done[high - 1] - previous)))
+        previous = done[high - 1]
+    return out
+
+
+def end_to_end(latencies, done, failed: int, rss_mb: float) -> dict:
     """The end-to-end metrics every workload reports (except ``setup_s``,
-    which the runner measures from outside the worker)."""
+    which the runner measures from outside the worker).  ``done[i]`` is
+    when operation ``i`` finished, in seconds from the window's start;
+    throughput counts successful operations only."""
     attempted = len(latencies)
+    success = (attempted - failed) / attempted
+    slices = _slices(latencies, done)
+    print("slices: %s operations" % "/".join(str(len(part)) for part, _ in slices))
+    median = statistics.median
     return {
-        "throughput_per_s": (attempted - failed) / wall,
-        "latency_p50_ms": percentile(latencies, 0.5) * 1e3,
-        "latency_p90_ms": percentile(latencies, 0.9) * 1e3,
-        "success_rate": (attempted - failed) / attempted,
+        "throughput_per_s": median(rate for _, rate in slices) * success,
+        "latency_p50_ms": median(percentile(part, 0.5) for part, _ in slices) * 1e3,
+        "latency_p90_ms": median(percentile(part, 0.9) for part, _ in slices) * 1e3,
+        "success_rate": success,
         "peak_rss_mb": rss_mb,
     }
 

@@ -108,7 +108,7 @@ def run(seed: int, seconds: float, trace: bool, ready) -> dict:
     def check(index, out) -> bool:
         return _same(backend, out, expected[index % K])
 
-    latencies, traced, failed, wall = timed_loop(seconds, op, check, spans)
+    latencies, done, traced, failed, wall = timed_loop(seconds, op, check, spans)
     delta = HeContext.metrics_diff(before, context.metrics())
     rss = peak_rss_mb()
 
@@ -127,7 +127,7 @@ def run(seed: int, seconds: float, trace: bool, ready) -> dict:
 
     result = {"attempted": len(latencies), "failed": failed}
     if spans is None:
-        result["metrics"] = end_to_end(latencies, failed, wall, rss)
+        result["metrics"] = end_to_end(latencies, done, failed, rss)
         return result
 
     ops = len(latencies)

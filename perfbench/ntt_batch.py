@@ -92,7 +92,7 @@ def run(seed: int, seconds: float, trace: bool, ready) -> dict:
     def check(_index, out) -> bool:
         return backend.tensor_equal(out["roundtrip"], x)
 
-    latencies, traced, failed, wall = timed_loop(seconds, op, check, spans)
+    latencies, done, traced, failed, wall = timed_loop(seconds, op, check, spans)
     conversions = backend.conversion_count - conversions
     fallbacks = backend.fallback_rows - fallbacks
     rss = peak_rss_mb()
@@ -108,7 +108,7 @@ def run(seed: int, seconds: float, trace: bool, ready) -> dict:
 
     result = {"attempted": len(latencies), "failed": failed}
     if spans is None:
-        result["metrics"] = end_to_end(latencies, failed, wall, rss)
+        result["metrics"] = end_to_end(latencies, done, failed, rss)
         return result
 
     totals = spans.totals()

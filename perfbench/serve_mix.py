@@ -188,7 +188,8 @@ async def _run(seed: int, seconds: float, trace: bool, ready) -> dict:
         traced_request = spans.wrap_async("op", request) if spans is not None else request
         records: list[dict] = []
         counter = iter(range(1 << 30))
-        deadline = time.perf_counter() + seconds
+        window_start = time.perf_counter()
+        deadline = window_start + seconds
 
         async def connection(stream: random.Random) -> None:
             # The chains come in shuffled blocks of MIX, so every run and
@@ -211,10 +212,11 @@ async def _run(seed: int, seconds: float, trace: bool, ready) -> dict:
                         record["result"], record["batch"] = await request(key)
                 except Exception as exc:  # counted as a failed request
                     print("request %d failed: %s: %s" % (index, type(exc).__name__, exc))
-                record["latency"] = time.perf_counter() - began
+                finished = time.perf_counter()
+                record["latency"] = finished - began
+                record["done"] = finished - window_start
                 records.append(record)
 
-        window_start = time.perf_counter()
         await asyncio.gather(*(
             connection(random.Random("%d:%d" % (seed, k))) for k in range(CONNECTIONS)
         ))
@@ -238,7 +240,7 @@ async def _run(seed: int, seconds: float, trace: bool, ready) -> dict:
 
     result = {"attempted": len(records), "failed": failed}
     if spans is None:
-        result["metrics"] = end_to_end(latencies, failed, wall, rss)
+        result["metrics"] = end_to_end(latencies, [r["done"] for r in records], failed, rss)
         return result
 
     totals = spans.totals()
