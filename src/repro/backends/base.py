@@ -240,11 +240,13 @@ class ComputeBackend(abc.ABC):
     below (``forward_ntt_batch``, ``add``, ...) remain supported as the
     **eager compatibility layer** — each is semantically a one-node plan, and
     ``tests/test_ops_plans.py`` pins the two surfaces bit-for-bit against
-    each other.  They are deprecated as an extension surface for *callers*
-    composing multi-op chains (emit a plan instead: eager chains cannot be
-    fused and pay per-op dispatch overhead on sharding backends) but are
-    fully supported as the node kernels a backend implements — the generic
-    interpreter executes plans through them.
+    each other.  On the ``scalar`` and ``numpy`` backends they are the node
+    kernels the generic interpreter executes plans through; the
+    ``parallel`` backend has the converse arrangement, implementing each as
+    a literal one-node plan through its :meth:`execute`, so it keeps a
+    single dispatch path.  They are deprecated as an extension surface for
+    *callers* composing multi-op chains (emit a plan instead: eager chains
+    cannot be fused and pay a dispatch per call on sharding backends).
     """
 
     #: Registry name of the backend (``"scalar"``, ``"numpy"``, ...).

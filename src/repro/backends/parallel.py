@@ -3,30 +3,30 @@
 The GPU realises Fig. 3's ``np x (number of polynomials)`` independent NTTs
 as one device-wide launch; this backend realises the same batch-parallelism
 with what every CI machine has — cores.  :class:`ParallelBackend` wraps an
-*inner* backend (default ``numpy``) and shards every residue-matrix
-operation — batched forward/inverse NTT, pointwise add/sub/neg/mul,
-scalar multiplication, RNS digit decomposition and modulus switching — by
-contiguous row groups over the ``(prime, polynomial)`` batch axis across a
-persistent pool of worker processes (:mod:`repro.backends.pool`).
+*inner* backend (default ``numpy``) and runs plans as fused stages sharded
+by contiguous row groups over the ``(prime, polynomial)`` batch axis across
+a persistent pool of worker processes (:mod:`repro.backends.pool`).  There
+is one dispatch path, :meth:`ParallelBackend.execute`: every per-method
+kernel call (batched forward/inverse NTT, pointwise arithmetic, RNS digit
+decomposition, modulus switching) is a one-node plan through it.
 
 Three properties make the sharding pay rather than tax:
 
 * **Zero-pickle payloads** — :class:`ParallelTensor` storage for every
   modulus below the uint64 window lives in a refcounted
-  ``multiprocessing.shared_memory`` segment; a shard task pickles only the
-  segment name, a row range and the primes, and the worker maps the same
-  physical pages for input and output.  Rows whose prime exceeds the
-  storage window (never generated by this repository's parameter sets) are
-  exact Python lists and fall back to chunked pickling, one shard's rows
-  per task.
+  ``multiprocessing.shared_memory`` segment; a stage task pickles only the
+  node records, segment names, row ranges and primes, and the worker maps
+  the same physical pages for input and output.  Rows whose prime exceeds
+  the storage window (never generated by this repository's parameter sets)
+  are exact Python lists; plans touching them run on the inner backend.
 * **Work-threshold crossover** — small shapes never see the pool: below
-  ``transform_threshold`` (transforms) / ``pointwise_threshold``
-  (everything else, measured in residues ``count * n``) the operation runs
+  ``transform_threshold`` (plans with transforms) / ``pointwise_threshold``
+  (everything else, measured in residues ``count * n``) the plan runs
   inline on the embedded inner backend, so toy parameter sets pay no pool
   tax and storage stays on the heap below the crossover.
 * **Tuned shards** — each worker holds one long-lived inner backend, so the
-  PR-3 per-shape engine auto-tuner runs once per sub-shape per worker and
-  every later shard of that shape executes the tuned engine.
+  per-shape engine auto-tuner runs once per sub-shape per worker and every
+  later shard of that shape executes the tuned engine.
 
 Shard count resolution: explicit ``shards=`` argument >
 :func:`repro.backends.pool.set_default_shards` > ``REPRO_SHARDS`` >
@@ -46,6 +46,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..telemetry import TRACER
+from . import ops
 from .base import ComputeBackend, ResidueRows, ResidueTensor
 from .numpy_backend import STORAGE_LIMIT
 from .pool import (
@@ -54,7 +55,6 @@ from .pool import (
     _inner_tensor,
     _result_parts,
     get_arena,
-    plan_shards,
     resolve_shard_count,
 )
 from .registry import build_backend
@@ -178,8 +178,9 @@ class ParallelBackend(ComputeBackend):
         """Pool round trips so far — the fusion acceptance counter.
 
         One dispatch is one synchronous submit-and-gather of a task set
-        across the worker pool (an eager operation above the crossover, or
-        one fused plan *stage*), the CPU analogue of a GPU kernel launch.
+        across the worker pool (one fused plan *stage*; a per-method call
+        above the crossover is a one-stage plan), the CPU analogue of a GPU
+        kernel launch.
         Worker-side work never dispatches further (workers hold plain inner
         backends), so — like :attr:`conversion_count`, whose worker-side
         deltas are mirrored here per dispatch — the counter is complete
@@ -192,11 +193,6 @@ class ParallelBackend(ComputeBackend):
     def reset_dispatch_count(self) -> None:
         """Zero the pool round-trip counter (test/benchmark helper)."""
         self.metrics.zero("pool.dispatches")
-
-    @property
-    def pool_dispatch_count(self) -> int:
-        """Compatibility alias of :attr:`dispatch_count` (pre-plan spelling)."""
-        return self.metrics.value("pool.dispatches")
 
     @property
     def pool_running(self) -> bool:
@@ -256,14 +252,6 @@ class ParallelBackend(ComputeBackend):
         # The task-payload descriptor IS the contract capability — one
         # layout, defined once on the tensor.
         return tensor.shared_buffer()
-
-    def _dispatchable(self, tensor: ParallelTensor, threshold: int) -> bool:
-        return (
-            self._shards > 1
-            and tensor.segment is not None
-            and tensor.count >= 2
-            and tensor.count * tensor.n >= threshold
-        )
 
     # -- inline bridging (sub-crossover path through the inner backend) -------
     def _inline(self, operation):
@@ -356,10 +344,8 @@ class ParallelBackend(ComputeBackend):
         shard count)`` — cached so repeated executions of an
         evaluator-cached plan pay zero scheduling overhead.  ``schedules``
         is ``None`` when the scheduler found misaligned operand row sets
-        (the caller falls back to eager interpretation).
+        (the caller falls back to the inner backend).
         """
-        from . import ops
-
         key = (plan, input_primes, self._shards)
         info = self._plan_info_cache.get(key)
         if info is not None:
@@ -395,7 +381,7 @@ class ParallelBackend(ComputeBackend):
         return info
 
     def execute(self, plan, inputs) -> dict[str, ResidueTensor]:
-        """Execute a plan as fused per-worker stages — the PR's payoff path.
+        """Execute a plan as fused per-worker stages — the one dispatch path.
 
         (Tracing wrapper; the execution itself is :meth:`_execute_plan`.)
         The plan is cut into stages at cross-row nodes
@@ -408,11 +394,11 @@ class ParallelBackend(ComputeBackend):
         costs one dispatch per homomorphic op instead of one per backend
         method — the CPU analogue of replaying a captured GPU graph.
 
-        Falls back to the generic per-op interpreter for plans fusion cannot
-        shard: a single-shard backend, inputs with big (≥ 62-bit) fallback
-        rows, or operand row sets the scheduler cannot align; plans below
-        the work-threshold crossover run inline on the embedded inner
-        backend without touching the pool at all.
+        Every per-method kernel call arrives here too, as a one-node plan.
+        Plans fusion cannot shard — a single-shard backend, inputs with big
+        (≥ 62-bit) fallback rows, operand row sets the scheduler cannot
+        align — and plans below the work-threshold crossover run whole on
+        the embedded inner backend without touching the pool at all.
         """
         if not TRACER.enabled:
             return self._execute_plan(plan, inputs)
@@ -422,8 +408,6 @@ class ParallelBackend(ComputeBackend):
             return self._execute_plan(plan, inputs)
 
     def _execute_plan(self, plan, inputs) -> dict[str, ResidueTensor]:
-        from . import ops
-
         tensors: dict[str, ParallelTensor] = ops.gather_inputs(plan, inputs)
         for tensor in tensors.values():
             self._check_owned(tensor)
@@ -431,40 +415,30 @@ class ParallelBackend(ComputeBackend):
         if len(lengths) > 1:
             raise ValueError("all tensors in a plan must share n")
         n = lengths.pop() if lengths else 0
-        if (
-            self._shards <= 1
-            or not n
-            or any(tensor.big for tensor in tensors.values())
-        ):
-            # Nothing to fuse across — skip the scheduling work entirely.
-            return ops.interpret(self, plan, inputs)
-        info = self._plan_info(
-            plan, tuple((name, tensor.primes) for name, tensor in tensors.items())
-        )
-        peak = info["max_count"] * n
-        threshold = (
-            self._transform_threshold
-            if info["has_transform"]
-            else self._pointwise_threshold
-        )
-        if peak < threshold:
-            inner_inputs = {
-                name: self._to_inner(tensor) for name, tensor in tensors.items()
-            }
-            return self._inline(
-                lambda: {
-                    name: self._from_inner(result)
-                    for name, result in self._inner.execute(
-                        plan, inner_inputs
-                    ).items()
-                }
+        if self._shards > 1 and n and not any(t.big for t in tensors.values()):
+            info = self._plan_info(
+                plan, tuple((name, t.primes) for name, t in tensors.items())
             )
-        primes = info["primes"]
-        if info["schedules"] is None:
-            # Operand row sets misalign — dispatch nothing and run the
-            # plan correctly, one eager op at a time.
-            return ops.interpret(self, plan, inputs)
+            threshold = (
+                self._transform_threshold
+                if info["has_transform"]
+                else self._pointwise_threshold
+            )
+            if info["max_count"] * n >= threshold and info["schedules"] is not None:
+                return self._execute_sharded(plan, tensors, info, n)
+        # Nothing to shard across (one shard, big rows), below the crossover,
+        # or operand row sets the scheduler cannot align: the whole plan runs
+        # on the embedded inner backend without touching the pool.
+        inner_inputs = {name: self._to_inner(t) for name, t in tensors.items()}
+        return self._inline(
+            lambda: {
+                name: self._from_inner(result)
+                for name, result in self._inner.execute(plan, inner_inputs).items()
+            }
+        )
 
+    def _execute_sharded(self, plan, tensors, info, n) -> dict[str, ResidueTensor]:
+        primes = info["primes"]
         storage: dict[int, ParallelTensor] = {}
         promoted: dict[int, ParallelTensor] = {}
         for index, node in enumerate(plan.nodes):
@@ -494,7 +468,6 @@ class ParallelBackend(ComputeBackend):
                     continue  # this worker owns no rows of anything produced
                 tasks.append(
                     {
-                        "op": "plan",
                         "n": n,
                         "nodes": [(vid, plan.nodes[vid]) for vid in stage],
                         "rowsets": rowset,
@@ -523,9 +496,6 @@ class ParallelBackend(ComputeBackend):
         return {name: storage[vid] for name, vid in plan.outputs}
 
     # -- shard dispatch --------------------------------------------------------
-    def _big_in(self, tensor: ParallelTensor, lo: int, hi: int) -> dict[int, list[int]]:
-        return {i - lo: tensor.big[i] for i in tensor.big if lo <= i < hi}
-
     def _dispatch(self, tasks: list[dict]) -> list[dict]:
         """One pool round trip: run a task set, mirror worker-side counters.
 
@@ -561,122 +531,50 @@ class ParallelBackend(ComputeBackend):
             self.metrics.inc("pool.dispatches")
         return results
 
-    def _run_tasks(self, tasks: list[dict], out: ParallelTensor) -> ParallelTensor:
-        for result in self._dispatch(tasks):
-            if result["big"]:
-                out.big.update(result["big"])
-        return out
-
     def _sharded_out(self, primes, n: int) -> ParallelTensor:
         # Dispatched outputs are always shared-memory-backed: workers write
         # their rows straight into the segment's pages.
         data, segment = self._allocate(len(primes), n, force_shm=True)
         return ParallelTensor(self, primes, n, data, {}, segment)
 
-    # -- transforms ------------------------------------------------------------
+    # -- per-method kernels: one-node plans -------------------------------------
+    def _run_node(self, node: ops.OpNode, *tensors: ResidueTensor) -> ParallelTensor:
+        """Run one kernel as a one-node plan through :meth:`execute`.
+
+        The per-method surface has no dispatch path of its own: sharding,
+        the work-threshold crossover and the inline fallbacks are all the
+        plan runner's.
+        """
+        names = tuple("x%d" % index for index in range(len(tensors)))
+        plan = ops.Plan(
+            tuple(ops.Input(name) for name in names) + (node,),
+            (("out", len(names)),),
+        )
+        return self.execute(plan, dict(zip(names, tensors)))["out"]
+
     def forward_ntt_batch(self, tensor: ResidueTensor) -> ParallelTensor:
-        return self._transform(tensor, "forward")
+        return self._run_node(ops.ForwardNtt(0), tensor)
 
     def inverse_ntt_batch(self, tensor: ResidueTensor) -> ParallelTensor:
-        return self._transform(tensor, "inverse")
-
-    def _transform(self, tensor: ResidueTensor, op: str) -> ParallelTensor:
-        self._check_owned(tensor)
-        if not self._dispatchable(tensor, self._transform_threshold):
-            method = (
-                self._inner.forward_ntt_batch
-                if op == "forward"
-                else self._inner.inverse_ntt_batch
-            )
-            return self._inline(
-                lambda: self._from_inner(method(self._to_inner(tensor)))
-            )
-        out = self._sharded_out(tensor.primes, tensor.n)
-        tasks = [
-            {
-                "op": op,
-                "n": tensor.n,
-                "lo": lo,
-                "hi": hi,
-                "primes": tensor.primes[lo:hi],
-                "a": self._ref(tensor),
-                "a_big": self._big_in(tensor, lo, hi),
-                "out": self._ref(out),
-            }
-            for lo, hi in plan_shards(tensor.count, self._shards)
-        ]
-        return self._run_tasks(tasks, out)
-
-    # -- pointwise arithmetic --------------------------------------------------
-    def _pointwise_pair(self, op: str, a: ResidueTensor, b: ResidueTensor):
-        self._check_pair(a, b)
-        if not (
-            self._dispatchable(a, self._pointwise_threshold) and b.segment is not None
-        ):
-            method = getattr(self._inner, op)
-            return self._inline(
-                lambda: self._from_inner(method(self._to_inner(a), self._to_inner(b)))
-            )
-        out = self._sharded_out(a.primes, a.n)
-        tasks = [
-            {
-                "op": op,
-                "n": a.n,
-                "lo": lo,
-                "hi": hi,
-                "primes": a.primes[lo:hi],
-                "a": self._ref(a),
-                "a_big": self._big_in(a, lo, hi),
-                "b": self._ref(b),
-                "b_big": self._big_in(b, lo, hi),
-                "out": self._ref(out),
-            }
-            for lo, hi in plan_shards(a.count, self._shards)
-        ]
-        return self._run_tasks(tasks, out)
-
-    def _pointwise_single(self, op: str, a: ResidueTensor, scalar: int | None = None):
-        self._check_owned(a)
-        if not self._dispatchable(a, self._pointwise_threshold):
-            method = getattr(self._inner, op)
-
-            def run_inline():
-                inner_a = self._to_inner(a)
-                result = method(inner_a) if scalar is None else method(inner_a, scalar)
-                return self._from_inner(result)
-
-            return self._inline(run_inline)
-        out = self._sharded_out(a.primes, a.n)
-        tasks = [
-            {
-                "op": op,
-                "n": a.n,
-                "lo": lo,
-                "hi": hi,
-                "primes": a.primes[lo:hi],
-                "a": self._ref(a),
-                "a_big": self._big_in(a, lo, hi),
-                "scalar": scalar,
-                "out": self._ref(out),
-            }
-            for lo, hi in plan_shards(a.count, self._shards)
-        ]
-        return self._run_tasks(tasks, out)
+        return self._run_node(ops.InverseNtt(0), tensor)
 
     def add(self, a: ResidueTensor, b: ResidueTensor) -> ParallelTensor:
-        return self._pointwise_pair("add", a, b)
+        self._check_pair(a, b)
+        return self._run_node(ops.Add(0, 1), a, b)
 
     def sub(self, a: ResidueTensor, b: ResidueTensor) -> ParallelTensor:
-        return self._pointwise_pair("sub", a, b)
+        self._check_pair(a, b)
+        return self._run_node(ops.Sub(0, 1), a, b)
 
     def mul(self, a: ResidueTensor, b: ResidueTensor) -> ParallelTensor:
-        return self._pointwise_pair("mul", a, b)
+        self._check_pair(a, b)
+        return self._run_node(ops.Mul(0, 1), a, b)
 
     def neg(self, a: ResidueTensor) -> ParallelTensor:
-        return self._pointwise_single("neg", a)
+        return self._run_node(ops.Neg(0), a)
 
     def scalar_mul(self, a: ResidueTensor, scalar: int) -> ParallelTensor:
-        return self._pointwise_single("scalar_mul", a, scalar)
+        return self._run_node(ops.ScalarMul(0, scalar), a)
 
     # -- structural operations -------------------------------------------------
     def concat(self, tensors: Sequence[ResidueTensor]) -> ParallelTensor:
@@ -766,64 +664,12 @@ class ParallelBackend(ComputeBackend):
 
     # -- RNS compound operations ----------------------------------------------
     def digit_broadcast(self, tensor: ResidueTensor, index: int) -> ParallelTensor:
-        self._check_owned(tensor)
-        if not 0 <= index < tensor.count:
-            raise ValueError("digit index %d out of range" % index)
-        if not self._dispatchable(tensor, self._pointwise_threshold):
-            return self._inline(
-                lambda: self._from_inner(
-                    self._inner.digit_broadcast(self._to_inner(tensor), index)
-                )
-            )
-        out = self._sharded_out(tensor.primes, tensor.n)
-        tasks = [
-            {
-                "op": "digit",
-                "n": tensor.n,
-                "lo": lo,
-                "hi": hi,
-                "index": index,
-                "primes": (tensor.primes[index],) + tensor.primes[lo:hi],
-                "a": self._ref(tensor),
-                "source_big": tensor.big.get(index),
-                "out": self._ref(out),
-            }
-            for lo, hi in plan_shards(tensor.count, self._shards)
-        ]
-        return self._run_tasks(tasks, out)
+        return self._run_node(ops.DigitBroadcast(0, index), tensor)
 
     def mod_switch_drop_last(
         self, tensor: ResidueTensor, plaintext_modulus: int
     ) -> ParallelTensor:
-        self._check_owned(tensor)
-        if tensor.count < 2:
-            raise ValueError("cannot modulus-switch below a single prime")
-        if not self._dispatchable(tensor, self._pointwise_threshold):
-            return self._inline(
-                lambda: self._from_inner(
-                    self._inner.mod_switch_drop_last(
-                        self._to_inner(tensor), plaintext_modulus
-                    )
-                )
-            )
-        last = tensor.count - 1
-        out = self._sharded_out(tensor.primes[:last], tensor.n)
-        tasks = [
-            {
-                "op": "mod_switch",
-                "n": tensor.n,
-                "lo": lo,
-                "hi": hi,
-                "primes": tensor.primes[lo:hi] + (tensor.primes[last],),
-                "a": self._ref(tensor),
-                "a_big": self._big_in(tensor, lo, hi),
-                "last_big": tensor.big.get(last),
-                "t": plaintext_modulus,
-                "out": self._ref(out),
-            }
-            for lo, hi in plan_shards(last, self._shards)
-        ]
-        return self._run_tasks(tasks, out)
+        return self._run_node(ops.ModSwitchDropLast(0, plaintext_modulus), tensor)
 
     # -- validation ------------------------------------------------------------
     def _check_owned(self, tensor: ResidueTensor) -> None:

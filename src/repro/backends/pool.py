@@ -376,7 +376,7 @@ def _result_parts(backend, result):
     return data, big
 
 
-def _run_plan_task(backend, task: dict, shms: list) -> None:
+def _run_task(backend, task: dict, shms: list) -> None:
     """Execute one worker's share of a fused plan stage.
 
     The task carries the stage's node records (:mod:`repro.backends.ops`),
@@ -492,77 +492,13 @@ def _run_plan_task(backend, task: dict, shms: list) -> None:
             offset += hi - lo
 
 
-def _run_task(backend, task: dict, shms: list) -> dict[int, list[int]] | None:
-    op = task["op"]
-    if op == "plan":
-        _run_plan_task(backend, task, shms)
-        return None
-    n = task["n"]
-    lo, hi = task["lo"], task["hi"]
-    primes = task["primes"]
-    out_view = _attach_view(task["out"], shms)
-    a_view = _attach_view(task["a"], shms)
-
-    if op in ("forward", "inverse", "neg", "scalar_mul", "add", "sub", "mul"):
-        a = _inner_tensor(backend, primes, n, a_view[lo:hi], task["a_big"])
-        if op == "forward":
-            result = backend.forward_ntt_batch(a)
-        elif op == "inverse":
-            result = backend.inverse_ntt_batch(a)
-        elif op == "neg":
-            result = backend.neg(a)
-        elif op == "scalar_mul":
-            result = backend.scalar_mul(a, task["scalar"])
-        else:
-            b_view = _attach_view(task["b"], shms)
-            b = _inner_tensor(backend, primes, n, b_view[lo:hi], task["b_big"])
-            result = getattr(backend, op)(a, b)
-        data, big = _result_parts(backend, result)
-        out_view[lo:hi] = data
-        return {lo + index: row for index, row in big.items()} or None
-
-    if op == "digit":
-        # The shard tensor is [source row] + [this shard's target rows]; the
-        # inner digit_broadcast of index 0 then emits the per-prime digits
-        # for every row, and row 0 (source mod its own prime) is discarded.
-        source_big = task["source_big"]
-        data = np.zeros((hi - lo + 1, n), dtype=np.uint64)
-        if source_big is None:
-            data[0] = a_view[task["index"]]
-        big = {0: source_big} if source_big is not None else {}
-        shard = _inner_tensor(backend, primes, n, data, big)
-        result = backend.digit_broadcast(shard, 0)
-        data, big = _result_parts(backend, result)
-        out_view[lo:hi] = data[1:]
-        return {lo + index - 1: row for index, row in big.items() if index >= 1} or None
-
-    if op == "mod_switch":
-        # The shard tensor is [this shard's rows] + [the dropped last row];
-        # the RNS modulus switch is per-row given the last row, so the inner
-        # implementation produces exactly this shard's switched rows.
-        count = task["a"][2]
-        data = np.concatenate([a_view[lo:hi], a_view[count - 1 : count]], axis=0)
-        big = dict(task["a_big"])
-        if task["last_big"] is not None:
-            big[hi - lo] = task["last_big"]
-        shard = _inner_tensor(backend, primes, n, data, big)
-        result = backend.mod_switch_drop_last(shard, task["t"])
-        data, big = _result_parts(backend, result)
-        out_view[lo:hi] = data
-        return {lo + index: row for index, row in big.items()} or None
-
-    raise ValueError("unknown shard op %r" % op)  # pragma: no cover - defensive
-
-
 def _exec_shard(task: dict) -> dict:
     """Worker entry point: run one shard task against the inner backend.
 
-    Returns ``{"conversions": rows, "fallback": rows, "big": {...} | None,
-    "spans": [...]}``: ``big`` holds the shard's big-row results (exact
-    Python lists for rows whose prime exceeds the uint64 storage window —
-    the documented chunked-pickle fallback; the uint64 payload is written
-    straight into the output segment's pages), and ``conversions`` /
-    ``fallback`` are the list/native boundary crossings and per-prime
+    Returns ``{"conversions": rows, "fallback": rows, "spans": [...]}``
+    (the results themselves are written straight into the output
+    segments' pages): ``conversions`` / ``fallback`` are the list/native
+    boundary crossings and per-prime
     big-int fallback rows the inner backend charged while computing the
     shard, which the parent mirrors onto the parallel backend's own
     counters so the accounting contract of ``base.py`` holds across
@@ -585,18 +521,17 @@ def _exec_shard(task: dict) -> dict:
             TRACER.start()
             mark = TRACER.mark()
             try:
-                with TRACER.span("pool.task", worker=os.getpid(), op=task["op"]):
-                    big = _run_task(backend, task, shms)
+                with TRACER.span("pool.task", worker=os.getpid()):
+                    _run_task(backend, task, shms)
                 spans = TRACER.events_since(mark)
             finally:
                 TRACER.stop()
                 TRACER.clear()
         else:
-            big = _run_task(backend, task, shms)
+            _run_task(backend, task, shms)
         return {
             "conversions": backend.conversion_count - before,
             "fallback": backend.fallback_rows - fallback_before,
-            "big": big,
             "spans": spans,
         }
     finally:
@@ -647,8 +582,8 @@ class WorkerPool:
         """Whether worker processes are currently alive."""
         return self._executor is not None
 
-    def run(self, tasks: Sequence[dict]) -> list[dict[int, list[int]] | None]:
-        """Execute every shard task, restarting the pool once on a crash."""
+    def run(self, tasks: Sequence[dict]) -> list[dict]:
+        """Execute every stage task, restarting the pool once on a crash."""
         last_error: BaseException | None = None
         for _ in range(2):
             executor = self._ensure()

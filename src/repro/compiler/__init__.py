@@ -7,9 +7,9 @@ layer, between plan emission and ``backend.execute``:
 
 * :mod:`repro.compiler.passes` — named rewrite passes over
   :class:`~repro.backends.ops.Plan` (transform-pair cancellation, structure
-  folding, CSE, NTT-domain residency of constants, dead-value
-  elimination), each independently testable and registered with a
-  one-line description.
+  folding, CSE, NTT-domain residency of constants, horizontal batching of
+  independent transforms, dead-value elimination), each independently
+  testable and registered with a one-line description.
 * :mod:`repro.compiler.manager` — :class:`PassManager` (fixpoint driving,
   ``plan.pass.*`` spans and counters) and the selection precedence
   ``explicit > set_default_passes > REPRO_PASSES > default``.
@@ -19,10 +19,10 @@ layer, between plan emission and ``backend.execute``:
 * :mod:`repro.compiler.program` — :class:`HeProgram`, the whole-program
   front end compiling many named statements into one fused plan.
 
-Every consumer of plans runs the default pipeline before caching
-(:meth:`Evaluator._run_plan <repro.he.evaluator.Evaluator._run_plan>`, and
-through it :mod:`repro.he.pipeline` and the serving layer's coalesced
-cross-request plans).  Optimised plans are bit-for-bit equal to their
+Every consumer of plans runs the default pipeline before caching: they all
+lower through :meth:`Evaluator.run_many <repro.he.evaluator.Evaluator.run_many>`
+(the evaluator's own methods, :mod:`repro.he.pipeline` and the serving
+layer's coalesced cross-request plans).  Optimised plans are bit-for-bit equal to their
 unoptimised forms on every backend — passes rewrite structure, never
 values.
 """

@@ -46,13 +46,16 @@ PASSES_ENV_VAR = "REPRO_PASSES"
 #: The default pipeline, in application order: cancellation first (it sees
 #: the emitters' raw concat/slice batching), structure folding to clean up
 #: the plumbing it leaves, CSE over the cleaned graph, residency hoisting of
-#: constant transforms, and dead-value elimination last to sweep everything
-#: the earlier passes orphaned.
+#: constant transforms, horizontal fusion of the independent transforms
+#: residency split apart (and of independent statements' transforms), and
+#: dead-value elimination last to sweep everything the earlier passes
+#: orphaned.
 DEFAULT_PASSES = (
     "cancel_ntt_pairs",
     "fold_structure",
     "cse",
     "ntt_residency",
+    "batch_ntts",
     "dead_values",
 )
 

@@ -16,7 +16,8 @@ All of them share one discipline, enforced by :class:`_Rewriter`:
   one wide transform into per-row transforms would "win" the node count
   while losing the paper's headline batching effect.  Partial rewrites
   (cancelling or hoisting *some* rows of a batch) keep the surviving rows
-  grouped in a single transform node.
+  grouped in a single transform node, and :func:`batch_ntts` goes the other
+  way, merging independent transforms into one wider batch.
 * **Return the input plan unchanged when nothing applies** — the manager
   detects the fixpoint structurally.
 
@@ -481,6 +482,110 @@ def ntt_residency(plan: ops.Plan, ctx: PassContext) -> ops.Plan:
                     rw.keep(index, ops.Concat(tuple(segments)))
                 continue
         rw.keep(index, ops.ForwardNtt(src))
+    return rw.finish()
+
+
+@register_pass(
+    "batch_ntts",
+    "merge independent same-direction transforms at equal transform depth "
+    "into one wide concat -> NTT -> slice batch (horizontal fusion)",
+)
+def batch_ntts(plan: ops.Plan, ctx: PassContext) -> ops.Plan:
+    nodes = plan.nodes
+    transforms = (ops.ForwardNtt, ops.InverseNtt)
+    # Transform depth: transform nodes on the longest input-to-value path.
+    # A transform depends on another only through a strictly smaller depth,
+    # so equal-depth transforms are independent and may share one node.
+    # Cross-row depth counts digit decompositions and modulus switches the
+    # same way; it orders the schedule below.
+    depth: list[int] = []
+    cross: list[int] = []
+    for node in nodes:
+        operands = node.operands()
+        depth.append(
+            max((depth[op] for op in operands), default=0)
+            + isinstance(node, transforms)
+        )
+        cross.append(
+            max((cross[op] for op in operands), default=0)
+            + isinstance(node, ops.CROSS_ROW_NODES)
+        )
+
+    def constant_fed(value: int) -> bool:
+        # Transforms of constant inputs belong to ntt_residency (which hoists
+        # them out of any batch); merging them here would fight it.
+        node = nodes[value]
+        parts = node.srcs if isinstance(node, ops.Concat) else (value,)
+        for part in parts:
+            while isinstance(nodes[part], ops.Copy):
+                part = nodes[part].src
+            if isinstance(nodes[part], ops.Input) and (
+                nodes[part].name in ctx.constant_inputs
+            ):
+                return True
+        return False
+
+    groups: dict[tuple, list[int]] = {}
+    for index, node in enumerate(nodes):
+        if isinstance(node, transforms) and not constant_fed(node.src):
+            groups.setdefault((type(node), depth[index]), []).append(index)
+    if all(len(group) < 2 for group in groups.values()) or any(
+        name not in ctx.input_primes for name in plan.input_names
+    ):
+        return plan  # nothing to merge, or row counts to slice by unknown
+    group_of = {
+        index: group for group in groups.values() if len(group) > 1 for index in group
+    }
+
+    # Schedule by transform depth, so every member's source precedes the
+    # merged node and every member's consumer follows it; within a depth by
+    # cross-row depth (transforms first, then plan order), so the cross-row
+    # nodes of every statement cluster after all the values they read — the
+    # parallel backend cuts a stage before each cross-row node whose source
+    # the current stage produced.
+    rw = _Rewriter(plan, ctx)
+    order = sorted(
+        range(len(nodes)),
+        key=lambda i: (depth[i], cross[i], not isinstance(nodes[i], transforms), i),
+    )
+    for index in order:
+        if index in rw.read_map:
+            continue  # emitted with its group
+        node = nodes[index]
+        group = group_of.get(index)
+        if group is None:
+            rw.keep(index, _with_operands(node, rw.mapped(node)))
+            continue
+        sources = [rw.read(nodes[member].src) for member in group]
+        # Each distinct batch part is transformed once: members that other
+        # rewrites of this round made (partly) identical share their rows,
+        # as CSE would have merged them had they stayed separate nodes.
+        rows: dict[int, tuple[int, int]] = {}
+        total = 0
+        member_parts = []
+        for src in sources:
+            base = rw.nodes[rw.resolve(src)]
+            own = base.srcs if isinstance(base, ops.Concat) else (src,)
+            for part in own:
+                if part not in rows:
+                    rows[part] = (total, total + rw.counts[part])
+                    total += rw.counts[part]
+            member_parts.append(own)
+        merged = _emit_grouped_transform(rw, type(node), list(rows))
+        ctx.tally("batch_ntts", "transforms_merged", len(group) - 1)
+        for member, own in zip(group, member_parts):
+            spans: list[list[int]] = []
+            for part in own:
+                start, stop = rows[part]
+                if spans and spans[-1][1] == start:
+                    spans[-1][1] = stop
+                else:
+                    spans.append([start, stop])
+            if len(spans) == 1:
+                rw.keep(member, ops.SliceRows(merged, *spans[0]))
+            else:
+                slices = [rw.emit(ops.SliceRows(merged, lo, hi)) for lo, hi in spans]
+                rw.keep(member, ops.Concat(tuple(slices)))
     return rw.finish()
 
 

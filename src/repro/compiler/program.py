@@ -4,11 +4,15 @@
 statements over shared inputs — a bootstrap circuit's CoeffToSlot terms all
 multiply the same ciphertext, an inference layer evaluates many rotations
 of one input.  :class:`HeProgram` collects named statements and compiles
-them **together** through :meth:`Pipeline.run_many`, so
+them **together** through the evaluator's one lowering entry point
+(:meth:`Evaluator.run_many <repro.he.evaluator.Evaluator.run_many>`, via
+:meth:`Pipeline.run_many`), so
 
-* shared sub-expressions lower once (the pipeline's structural memo),
+* shared sub-expressions lower once (one structural memo),
 * the optimiser's CSE pass merges duplicated transforms *across*
-  statements (work the per-statement path recomputes per run), and
+  statements (work the per-statement path recomputes per run), its
+  ``batch_ntts`` pass widens their independent transforms into shared
+  batches, and
 * the whole program executes in one ``backend.execute`` call — on the
   ``parallel`` backend, a handful of fused per-worker stages.
 

@@ -286,9 +286,10 @@ class HeContext:
         """A whole-program front end: many named statements, one fused plan.
 
         Statements recorded with :meth:`~repro.compiler.program.HeProgram.let`
-        compile together through :meth:`Pipeline.run_many`, so shared
-        sub-expressions lower once and the optimiser's CSE pass merges
-        duplicate transforms *across* statements.
+        compile together through the evaluator's lowering entry point
+        (:meth:`Evaluator.run_many <repro.he.evaluator.Evaluator.run_many>`),
+        so shared sub-expressions lower once and the optimiser's CSE pass
+        merges duplicate transforms *across* statements.
         """
         from ..compiler.program import HeProgram
 

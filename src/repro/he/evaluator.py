@@ -2,17 +2,22 @@
 
 Every ciphertext multiplication performed here is, computationally, a batch
 of ``np`` negacyclic polynomial multiplications — each of which is the
-``iNTT(NTT(a) ⊙ NTT(b))`` pipeline the paper accelerates.  Since the
-op-graph redesign the evaluator is a *plan emitter*: each homomorphic
-operation compiles (once — compiled plans are cached per operation shape)
-into a declarative :class:`repro.backends.ops.Plan` and hands it to
-:meth:`~repro.backends.base.ComputeBackend.execute` in a single call, so a
-sharding backend can fuse the whole operation into one task per worker per
-stage instead of one pool round trip per backend method — the CPU analogue
-of the wide-batch kernel launches the paper's GPU amortises.  The previous
-per-method path survives as **eager mode** (``mode="eager"``, the CLI's
-``--eager``, or ``REPRO_EXECUTION=eager``); both modes are bit-for-bit
-identical and both keep the whole chain resident:
+``iNTT(NTT(a) ⊙ NTT(b))`` pipeline the paper accelerates.  The evaluator is
+a *plan emitter*: :meth:`Evaluator.run_many` is the HE layer's one lowering
+entry point.  It lowers a set of lazy :class:`CiphertextExpr` statements
+into a single declarative :class:`repro.backends.ops.Plan` (compiled once
+per expression shape, optimised by :mod:`repro.compiler`, cached) and hands
+it to :meth:`~repro.backends.base.ComputeBackend.execute` in one call, so a
+sharding backend can fuse the whole computation into one task per worker per
+stage — the CPU analogue of the wide-batch kernel launches the paper's GPU
+amortises.  Each fused evaluator method is a one-expression call to it;
+:class:`~repro.he.pipeline.Pipeline`,
+:class:`~repro.compiler.program.HeProgram` and the serving layer's
+coalesced batches pass many statements at once.
+
+The previous per-method path survives as **eager mode** (``mode="eager"``,
+the CLI's ``--eager``, or ``REPRO_EXECUTION=eager``); both modes are
+bit-for-bit identical and both keep the whole chain resident:
 
 * relinearisation decomposes the quadratic component into per-prime digits
   with ``digit_broadcast`` nodes (row ``i`` of the coefficient-domain
@@ -30,9 +35,7 @@ backend's conversion counter in the test-suite) and, fused on the
 
 The evaluator also exposes :meth:`Evaluator.ntt_invocations`, the running
 count of forward/inverse NTT calls it has triggered, which the examples use
-to connect the HE layer to the GPU performance model.  The emission helpers
-(``_emit_*``) are shared with :mod:`repro.he.pipeline`, which strings the
-ops of a whole ciphertext expression into one plan.
+to connect the HE layer to the GPU performance model.
 """
 
 from __future__ import annotations
@@ -52,7 +55,106 @@ from .ciphertext import Ciphertext
 from .keys import RelinearizationKey
 from .params import HEParams
 
-__all__ = ["Evaluator"]
+__all__ = ["CiphertextExpr", "Evaluator"]
+
+
+class CiphertextExpr:
+    """One node of a lazy ciphertext expression.
+
+    Build leaves with :meth:`Pipeline.load <repro.he.pipeline.Pipeline.load>`;
+    combine with ``*``, ``+``, ``-``, unary ``-``, :meth:`square`,
+    :meth:`relinearize` and :meth:`mod_switch`; execute with :meth:`run`.
+    Nodes are immutable and freely shareable between expressions of the
+    same pipeline.  :meth:`Evaluator.run_many` lowers them.
+    """
+
+    __slots__ = ("pipeline", "kind", "children", "ciphertext", "key", "plaintext")
+
+    def __init__(
+        self,
+        pipeline,
+        kind: str,
+        children: tuple["CiphertextExpr", ...] = (),
+        ciphertext: Ciphertext | None = None,
+        key: RelinearizationKey | None = None,
+        plaintext: RnsPolynomial | None = None,
+    ) -> None:
+        self.pipeline = pipeline
+        self.kind = kind
+        self.children = children
+        self.ciphertext = ciphertext
+        self.key = key
+        self.plaintext = plaintext
+
+    def _combine(self, other: "CiphertextExpr", kind: str) -> "CiphertextExpr":
+        if not isinstance(other, CiphertextExpr):
+            return NotImplemented
+        if other.pipeline is not self.pipeline:
+            raise ValueError(
+                "cannot combine expressions from different pipelines — load "
+                "both ciphertexts through the same HeContext.pipeline()"
+            )
+        return CiphertextExpr(self.pipeline, kind, (self, other))
+
+    def __mul__(self, other: "CiphertextExpr") -> "CiphertextExpr":
+        return self._combine(other, "multiply")
+
+    def __add__(self, other: "CiphertextExpr") -> "CiphertextExpr":
+        return self._combine(other, "add")
+
+    def __sub__(self, other: "CiphertextExpr") -> "CiphertextExpr":
+        return self._combine(other, "sub")
+
+    def __neg__(self) -> "CiphertextExpr":
+        return CiphertextExpr(self.pipeline, "negate", (self,))
+
+    def square(self) -> "CiphertextExpr":
+        """Lazy homomorphic squaring (half the forward NTTs of ``x * x``)."""
+        return CiphertextExpr(self.pipeline, "square", (self,))
+
+    def relinearize(self, key: RelinearizationKey) -> "CiphertextExpr":
+        """Lazy relinearisation under ``key`` (size 3 back to size 2)."""
+        return CiphertextExpr(self.pipeline, "relinearize", (self,), key=key)
+
+    def mod_switch(self) -> "CiphertextExpr":
+        """Lazy modulus switch to the next level (drops the last RNS prime)."""
+        return CiphertextExpr(self.pipeline, "mod_switch", (self,))
+
+    # Evaluator-style spelling, for symmetry with eager call sites.
+    mod_switch_to_next = mod_switch
+
+    def _with_plain(self, plaintext: RnsPolynomial, kind: str) -> "CiphertextExpr":
+        if not isinstance(plaintext, RnsPolynomial):
+            raise TypeError(
+                "%s expects an RnsPolynomial plaintext, got %r"
+                % (kind, type(plaintext).__name__)
+            )
+        return CiphertextExpr(self.pipeline, kind, (self,), plaintext=plaintext)
+
+    def mul_plain(self, plaintext: RnsPolynomial) -> "CiphertextExpr":
+        """Lazy multiplication by an (unencrypted) plaintext polynomial.
+
+        Re-using one encoded plaintext across many expressions (a rotation
+        diagonal, a mask) gives it a stable identity, so the optimiser's
+        residency pass keeps its NTT image pooled across runs.
+        """
+        return self._with_plain(plaintext, "multiply_plain")
+
+    def add_plain(self, plaintext: RnsPolynomial) -> "CiphertextExpr":
+        """Lazy addition of an (unencrypted) plaintext polynomial."""
+        return self._with_plain(plaintext, "add_plain")
+
+    def run(self) -> Ciphertext:
+        """Compile (or fetch the cached plan for) this expression and execute it."""
+        return self.pipeline.run(self)
+
+
+def _result_level(expr: CiphertextExpr) -> int:
+    # Levels are per-run metadata (not part of the plan signature).
+    if expr.kind == "load":
+        return expr.ciphertext.level
+    level = _result_level(expr.children[0])
+    return level + 1 if expr.kind == "mod_switch" else level
 
 
 class _P:
@@ -64,22 +166,6 @@ class _P:
         self.value = value
         self.domain = domain
         self.basis = basis
-
-
-class _Emitter:
-    """An :class:`~repro.backends.ops.OpGraph` plus emission bookkeeping."""
-
-    __slots__ = ("graph", "ntt_rows")
-
-    def __init__(self) -> None:
-        self.graph = ops.OpGraph()
-        #: Residue rows moved through forward/inverse NTT nodes — added to
-        #: :attr:`Evaluator.ntt_invocations` each time the plan executes.
-        self.ntt_rows = 0
-
-    def bind(self, name: str, poly: RnsPolynomial) -> _P:
-        """Declare a plan input carrying the polynomial's ring metadata."""
-        return _P(self.graph.input(name), poly.domain, poly.basis)
 
 
 class Evaluator:
@@ -209,64 +295,208 @@ class Evaluator:
     def _poly_neg(self, x: RnsPolynomial) -> RnsPolynomial:
         return self._poly(self.backend.neg(self._adopt(x).tensor), x.basis, x.domain)
 
-    # -- plan plumbing (fused mode) ----------------------------------------------------
+    # -- the lowering entry point (fused mode) ---------------------------------------
+    def run_many(self, exprs: Sequence[CiphertextExpr]) -> list[Ciphertext]:
+        """Lower, compile (cached) and execute expressions as ONE plan.
+
+        The one fused lowering path: every fused evaluator method is a
+        one-expression call, :meth:`Pipeline.run_many
+        <repro.he.pipeline.Pipeline.run_many>` and
+        :class:`~repro.compiler.program.HeProgram` pass their statements,
+        and the serving layer passes one statement per coalesced request.
+        All expressions lower through one memo (shared sub-expressions emit
+        once) into a plan cached per structural signature, executed in one
+        backend call.  Returns the result ciphertexts in input order.
+        """
+        ordinals: dict[int, int] = {}
+        leaves: list[CiphertextExpr] = []
+        keys: list[RelinearizationKey] = []
+        plains: list[RnsPolynomial] = []
+
+        def ordinal(obj, bucket: list) -> int:
+            index = ordinals.get(id(obj))
+            if index is None:
+                index = ordinals[id(obj)] = len(bucket)
+                bucket.append(obj)
+            return index
+
+        def signature(expr: CiphertextExpr) -> tuple:
+            # Everything that shapes the compiled plan: the structure, each
+            # leaf's ring and component domains, each key's and plaintext's
+            # domains (coefficient operands get forward-NTT nodes, resident
+            # NTT-domain ones do not).  Runs with equal signatures bind
+            # different tensors to one cached plan.
+            if expr.kind == "load":
+                ct = expr.ciphertext
+                return (
+                    "load",
+                    ordinal(expr, leaves),
+                    ct.basis.primes,
+                    tuple(poly.domain for poly in ct.polys),
+                )
+            head: tuple = (expr.kind,)
+            if expr.kind == "relinearize":
+                head += (
+                    ordinal(expr.key, keys),
+                    tuple((rk0.domain, rk1.domain) for rk0, rk1 in expr.key.components),
+                )
+            elif expr.plaintext is not None:
+                pt = expr.plaintext
+                head += (ordinal(pt, plains), pt.basis.primes, pt.domain)
+            return head + tuple(signature(child) for child in expr.children)
+
+        key = tuple(signature(expr) for expr in exprs)
+
+        # Adoption happens per run (bindings always carry tensors resident
+        # on the pinned backend), independent of whether the plan is cached.
+        # Key components and plaintexts are the cross-run-stable operands:
+        # naming them as constants lets the residency pass pool their NTT
+        # images across executions of the cached plan.
+        named: list[tuple[str, RnsPolynomial]] = []
+        for i, leaf in enumerate(leaves):
+            named += [
+                ("ct%d_%d" % (i, j), poly)
+                for j, poly in enumerate(self._adopt_all(leaf.ciphertext.polys))
+            ]
+        constants: list[str] = []
+        for i, relin_key in enumerate(keys):
+            for j, pair in enumerate(relin_key.components):
+                for half, poly in zip(("rk0", "rk1"), pair):
+                    constants.append("key%d_%s_%d" % (i, half, j))
+                    named.append((constants[-1], self._adopt(poly)))
+        for i, plain in enumerate(plains):
+            constants.append("pt%d" % i)
+            named.append((constants[-1], self._adopt(plain)))
+        t = self.params.plaintext_modulus
+
+        def build():
+            graph = ops.OpGraph()
+            sym = {
+                name: _P(graph.input(name), poly.domain, poly.basis)
+                for name, poly in named
+            }
+            memo: dict[int, list[_P]] = {}
+
+            def lower(node: CiphertextExpr) -> list[_P]:
+                polys = memo.get(id(node))
+                if polys is not None:
+                    return polys
+                kind = node.kind
+                args = [lower(child) for child in node.children]
+                if kind == "load":
+                    leaf = ordinals[id(node)]
+                    polys = [
+                        sym["ct%d_%d" % (leaf, j)]
+                        for j in range(len(node.ciphertext.polys))
+                    ]
+                elif kind == "multiply":
+                    polys = self._emit_multiply(graph, *args)
+                elif kind in ("add", "sub"):
+                    polys = self._emit_linear(graph, *args, subtract=kind == "sub")
+                elif kind == "negate":
+                    polys = self._emit_negate(graph, args[0])
+                elif kind == "square":
+                    polys = self._emit_square(graph, args[0])
+                elif kind == "relinearize":
+                    k = ordinals[id(node.key)]
+                    srk = [
+                        (sym["key%d_rk0_%d" % (k, j)], sym["key%d_rk1_%d" % (k, j)])
+                        for j in range(len(node.key.components))
+                    ]
+                    polys = self._emit_relinearize(graph, args[0], srk)
+                elif kind == "mod_switch":
+                    polys = self._emit_mod_switch(graph, args[0], t)
+                elif kind in ("multiply_plain", "add_plain"):
+                    pt = sym["pt%d" % ordinals[id(node.plaintext)]]
+                    if (
+                        args[0][0].basis.primes != pt.basis.primes
+                        or node.plaintext.n != self.params.n
+                    ):
+                        raise ValueError(
+                            "plaintext lives in a different ring than the "
+                            "ciphertext; re-encode it for this level first"
+                        )
+                    emit = (
+                        self._emit_multiply_plain
+                        if kind == "multiply_plain"
+                        else self._emit_add_plain
+                    )
+                    polys = emit(graph, args[0], pt)
+                else:
+                    raise ValueError("unknown expression kind %r" % kind)
+                memo[id(node)] = polys
+                return polys
+
+            groups = [lower(expr) for expr in exprs]
+            specs = []
+            for i, polys in enumerate(groups):
+                group = []
+                for j, poly in enumerate(polys):
+                    name = "out%d_%d" % (i, j)
+                    graph.output(name, poly.value)
+                    group.append((name, poly.basis, poly.domain))
+                specs.append(tuple(group))
+            return graph.compile(), tuple(specs)
+
+        bindings = {name: poly.tensor for name, poly in named}
+        results = self._run_plan(key, build, bindings, tuple(constants))
+        return [
+            Ciphertext(polys=polys, params=self.params, level=_result_level(expr))
+            for expr, polys in zip(exprs, results)
+        ]
+
     def _run_plan(
         self, key: tuple, build, bindings: dict, constants: tuple = ()
-    ) -> list[RnsPolynomial]:
+    ) -> list[list[RnsPolynomial]]:
         """Fetch-or-compile the plan for ``key`` and execute it with ``bindings``.
 
-        ``build`` returns ``(plan, output specs, ntt rows)``; it only runs on
-        a cache miss, so repeated operations of the same shape — every
-        iteration of a loop over ciphertexts, for instance — compile once and
-        execute straight from the cache.  Freshly built plans run through the
-        optimiser pipeline (see :mod:`repro.compiler`) before caching;
-        ``constants`` names the bindings that are stable across executions
-        (key components, repeated plaintexts).  When the residency pass
-        hoists their transforms, two variants are cached: a *cold* plan that
-        computes the constants' NTT images in-plan (same dispatch shape as
-        the unoptimised plan) and exports them to seed the constant pool,
-        and the *warm* plan that binds the pooled images and skips the
-        transforms — the steady state every later execution runs in.
+        ``build`` returns ``(plan, per-statement output specs)``; it only
+        runs on a cache miss, so repeated executions of the same shape —
+        every iteration of a loop over ciphertexts, for instance — compile
+        once and execute straight from the cache.  Freshly built plans run
+        through the optimiser pipeline (see :mod:`repro.compiler`) before
+        caching; ``constants`` names the bindings that are stable across
+        executions (key components, repeated plaintexts).  When the
+        residency pass hoists their transforms, two variants are cached: a
+        *cold* plan that computes the constants' NTT images in-plan (same
+        dispatch shape as the unoptimised plan) and exports them to seed the
+        constant pool, and the *warm* plan that binds the pooled images and
+        skips the transforms — the steady state every later execution runs
+        in.
         """
         cached = self._plan_cache.get(key)
         if cached is None:
             if TRACER.enabled:
-                with TRACER.span("plan.compile", op=str(key[0])):
-                    plan, specs, ntt_rows = build()
+                with TRACER.span("plan.compile", op=key[0][0]):
+                    plan, specs = build()
             else:
-                plan, specs, ntt_rows = build()
+                plan, specs = build()
+            input_primes = {name: bindings[name].primes for name in plan.input_names}
             derived: tuple = ()
             cold = None
             if self._pass_manager.passes:
-                input_primes = {
-                    name: bindings[name].primes
-                    for name in plan.input_names
-                    if name in bindings
-                }
                 optimized = self._pass_manager.run(
                     plan,
                     input_primes=input_primes,
                     constant_inputs=constants,
                     metrics=self.metrics,
                 )
-                if optimized.plan is not plan:
-                    plan = optimized.plan
-                    derived = optimized.derived_inputs
-                    for derived_name, source in derived:
-                        input_primes[derived_name] = input_primes[source]
-                    # Recount: ntt.invocations reports transforms actually
-                    # executed, so the static row count must track the
-                    # optimised plan, not the emitted one.
-                    ntt_rows = count_ntt_rows(plan, input_primes)
-                    if derived:
-                        cold_plan, const_outputs = materialize_derived(
-                            plan, derived, input_primes
-                        )
-                        cold = (
-                            cold_plan,
-                            count_ntt_rows(cold_plan, input_primes),
-                            const_outputs,
-                        )
+                plan = optimized.plan
+                derived = optimized.derived_inputs
+                for derived_name, source in derived:
+                    input_primes[derived_name] = input_primes[source]
+                if derived:
+                    cold_plan, const_outputs = materialize_derived(
+                        plan, derived, input_primes
+                    )
+                    cold = (
+                        cold_plan,
+                        count_ntt_rows(cold_plan, input_primes),
+                        const_outputs,
+                    )
+            # ntt.invocations reports transforms actually executed: the
+            # static row count of the plan as optimised, not as emitted.
+            ntt_rows = count_ntt_rows(plan, input_primes)
             cached = (plan, specs, ntt_rows, derived, cold)
             self._plan_cache[key] = cached
             self.metrics.inc("plan.compiled")
@@ -290,39 +520,26 @@ class Evaluator:
                 # pool; dispatch count and bit-level results match the
                 # unoptimised plan exactly.
                 self.metrics.inc("plan.pool.misses", len(derived))
-                cold_plan, cold_rows, const_outputs = cold
-                outputs = self.backend.execute(cold_plan, bindings)
+                plan, ntt_rows, const_outputs = cold
+                outputs = self.backend.execute(plan, bindings)
                 for output_name, source in const_outputs:
-                    self._constant_pool.store(
-                        bindings[source], outputs[output_name]
-                    )
-                self.metrics.inc("ntt.invocations", cold_rows)
-                return [
-                    self._poly(outputs[name], basis, domain)
-                    for name, basis, domain in specs
-                ]
+                    self._constant_pool.store(bindings[source], outputs[output_name])
+                self.metrics.inc("ntt.invocations", ntt_rows)
+                return self._unpack(specs, outputs)
         outputs = self.backend.execute(plan, bindings)
         self.metrics.inc("ntt.invocations", ntt_rows)
+        return self._unpack(specs, outputs)
+
+    def _unpack(self, specs: tuple, outputs: dict) -> list[list[RnsPolynomial]]:
         return [
-            self._poly(outputs[name], basis, domain) for name, basis, domain in specs
+            [self._poly(outputs[name], basis, domain) for name, basis, domain in group]
+            for group in specs
         ]
 
+    # -- emission helpers -------------------------------------------------------------
     @staticmethod
-    def _finish(em: _Emitter, polys: Sequence[_P]) -> tuple:
-        specs = []
-        for index, poly in enumerate(polys):
-            name = "out%d" % index
-            em.graph.output(name, poly.value)
-            specs.append((name, poly.basis, poly.domain))
-        return em.graph.compile(), tuple(specs), em.ntt_rows
-
-    @staticmethod
-    def _domains(polys: Sequence[RnsPolynomial]) -> tuple:
-        return tuple(poly.domain for poly in polys)
-
-    # -- emission helpers (shared with repro.he.pipeline) ------------------------------
     def _emit_ntt_batch(
-        self, em: _Emitter, polys: Sequence[_P], forward: bool
+        graph: ops.OpGraph, polys: Sequence[_P], forward: bool
     ) -> list[_P]:
         """Emit one batched transform covering every pending polynomial.
 
@@ -332,7 +549,6 @@ class Evaluator:
         """
         source = Domain.COEFFICIENT if forward else Domain.NTT
         target = Domain.NTT if forward else Domain.COEFFICIENT
-        graph = em.graph
         results = list(polys)
         pending = [i for i, poly in enumerate(results) if poly.domain is source]
         if not pending:
@@ -347,16 +563,17 @@ class Evaluator:
             )
         for i, piece in zip(pending, pieces):
             results[i] = _P(piece, target, results[i].basis)
-            em.ntt_rows += results[i].basis.count
         return results
 
-    def _emit_poly_add(self, em: _Emitter, x: _P, y: _P) -> _P:
-        self._check_emit_compatible(x, y)
-        return _P(em.graph.add(x.value, y.value), x.domain, x.basis)
+    @staticmethod
+    def _emit_poly_add(graph: ops.OpGraph, x: _P, y: _P) -> _P:
+        Evaluator._check_emit_compatible(x, y)
+        return _P(graph.add(x.value, y.value), x.domain, x.basis)
 
-    def _emit_poly_sub(self, em: _Emitter, x: _P, y: _P) -> _P:
-        self._check_emit_compatible(x, y)
-        return _P(em.graph.sub(x.value, y.value), x.domain, x.basis)
+    @staticmethod
+    def _emit_poly_sub(graph: ops.OpGraph, x: _P, y: _P) -> _P:
+        Evaluator._check_emit_compatible(x, y)
+        return _P(graph.sub(x.value, y.value), x.domain, x.basis)
 
     @staticmethod
     def _check_emit_compatible(x: _P, y: _P) -> None:
@@ -370,10 +587,9 @@ class Evaluator:
             )
 
     def _emit_tensor(
-        self, em: _Emitter, a_ntt: Sequence[_P], b_ntt: Sequence[_P]
+        self, graph: ops.OpGraph, a_ntt: Sequence[_P], b_ntt: Sequence[_P]
     ) -> list[_P]:
         """NTT-domain tensor product, returned in the coefficient domain."""
-        graph = em.graph
         basis = a_ntt[0].basis
         result_size = len(a_ntt) + len(b_ntt) - 1
         accumulators: list[int | None] = [None] * result_size
@@ -387,46 +603,46 @@ class Evaluator:
                     else graph.add(accumulators[k], term)
                 )
         products = [_P(value, Domain.NTT, basis) for value in accumulators]
-        return self._emit_ntt_batch(em, products, forward=False)
+        return self._emit_ntt_batch(graph, products, forward=False)
 
-    def _emit_multiply(self, em: _Emitter, sa: Sequence[_P], sb: Sequence[_P]) -> list[_P]:
+    def _emit_multiply(
+        self, graph: ops.OpGraph, sa: Sequence[_P], sb: Sequence[_P]
+    ) -> list[_P]:
         if sa[0].basis.primes != sb[0].basis.primes:
             raise ValueError("ciphertexts are at different levels; mod-switch first")
-        transformed = self._emit_ntt_batch(em, list(sa) + list(sb), forward=True)
-        return self._emit_tensor(em, transformed[: len(sa)], transformed[len(sa) :])
+        transformed = self._emit_ntt_batch(graph, list(sa) + list(sb), forward=True)
+        return self._emit_tensor(graph, transformed[: len(sa)], transformed[len(sa) :])
 
-    def _emit_square(self, em: _Emitter, sa: Sequence[_P]) -> list[_P]:
-        a_ntt = self._emit_ntt_batch(em, list(sa), forward=True)
-        return self._emit_tensor(em, a_ntt, a_ntt)
+    def _emit_square(self, graph: ops.OpGraph, sa: Sequence[_P]) -> list[_P]:
+        a_ntt = self._emit_ntt_batch(graph, list(sa), forward=True)
+        return self._emit_tensor(graph, a_ntt, a_ntt)
 
     def _emit_linear(
-        self, em: _Emitter, sa: Sequence[_P], sb: Sequence[_P], subtract: bool
+        self, graph: ops.OpGraph, sa: Sequence[_P], sb: Sequence[_P], subtract: bool
     ) -> list[_P]:
-        graph = em.graph
+        if sa[0].basis.primes != sb[0].basis.primes:
+            raise ValueError("ciphertexts are at different levels; mod-switch first")
         combine = self._emit_poly_sub if subtract else self._emit_poly_add
-        size = max(len(sa), len(sb))
         polys = []
-        for index in range(size):
+        for index in range(max(len(sa), len(sb))):
             if index < len(sa) and index < len(sb):
-                polys.append(combine(em, sa[index], sb[index]))
+                polys.append(combine(graph, sa[index], sb[index]))
             elif index < len(sa):
                 poly = sa[index]
                 polys.append(_P(graph.copy(poly.value), poly.domain, poly.basis))
-            elif subtract:
-                poly = sb[index]
-                polys.append(_P(graph.neg(poly.value), poly.domain, poly.basis))
             else:
                 poly = sb[index]
-                polys.append(_P(graph.copy(poly.value), poly.domain, poly.basis))
+                value = graph.neg(poly.value) if subtract else graph.copy(poly.value)
+                polys.append(_P(value, poly.domain, poly.basis))
         return polys
 
-    def _emit_negate(self, em: _Emitter, sa: Sequence[_P]) -> list[_P]:
-        return [_P(em.graph.neg(p.value), p.domain, p.basis) for p in sa]
+    @staticmethod
+    def _emit_negate(graph: ops.OpGraph, sa: Sequence[_P]) -> list[_P]:
+        return [_P(graph.neg(p.value), p.domain, p.basis) for p in sa]
 
     def _emit_relinearize(
-        self, em: _Emitter, sa: Sequence[_P], srk: Sequence[tuple[_P, _P]]
+        self, graph: ops.OpGraph, sa: Sequence[_P], srk: Sequence[tuple[_P, _P]]
     ) -> list[_P]:
-        graph = em.graph
         if len(sa) == 2:
             return [_P(graph.copy(p.value), p.domain, p.basis) for p in sa]
         if len(sa) != 3:
@@ -435,7 +651,7 @@ class Evaluator:
         if len(srk) != len(basis):
             raise ValueError("relinearisation key was generated for a different basis")
         c0, c1, c2 = sa
-        c2_coeff = self._emit_ntt_batch(em, [c2], forward=False)[0]
+        c2_coeff = self._emit_ntt_batch(graph, [c2], forward=False)[0]
         acc0: int | None = None
         acc1: int | None = None
         for index, (rk0, rk1) in enumerate(srk):
@@ -445,120 +661,60 @@ class Evaluator:
                 basis,
             )
             digit_ntt, rk0_ntt, rk1_ntt = self._emit_ntt_batch(
-                em, [digit, rk0, rk1], forward=True
+                graph, [digit, rk0, rk1], forward=True
             )
             term0 = graph.mul(digit_ntt.value, rk0_ntt.value)
             term1 = graph.mul(digit_ntt.value, rk1_ntt.value)
             acc0 = term0 if acc0 is None else graph.add(acc0, term0)
             acc1 = term1 if acc1 is None else graph.add(acc1, term1)
         sum0, sum1 = self._emit_ntt_batch(
-            em,
+            graph,
             [_P(acc0, Domain.NTT, basis), _P(acc1, Domain.NTT, basis)],
             forward=False,
         )
         return [
-            self._emit_poly_add(em, c0, sum0),
-            self._emit_poly_add(em, c1, sum1),
+            self._emit_poly_add(graph, c0, sum0),
+            self._emit_poly_add(graph, c1, sum1),
         ]
 
-    def _emit_mod_switch(self, em: _Emitter, sa: Sequence[_P], t: int) -> list[_P]:
+    def _emit_mod_switch(self, graph: ops.OpGraph, sa: Sequence[_P], t: int) -> list[_P]:
         basis = sa[0].basis
         if len(basis) < 2:
             raise ValueError("cannot modulus-switch below a single prime")
         if basis.primes[-1] % t != 1:
             raise ValueError("modulus switching requires q_last ≡ 1 (mod t)")
-        coeffs = self._emit_ntt_batch(em, list(sa), forward=False)
+        coeffs = self._emit_ntt_batch(graph, list(sa), forward=False)
         new_basis = basis.drop_last(1)
         return [
             _P(
-                em.graph.mod_switch_drop_last(poly.value, t),
+                graph.mod_switch_drop_last(poly.value, t),
                 Domain.COEFFICIENT,
                 new_basis,
             )
             for poly in coeffs
         ]
 
-    def _emit_add_plain(self, em: _Emitter, sa: Sequence[_P], pt: _P) -> list[_P]:
-        graph = em.graph
-        return [self._emit_poly_add(em, sa[0], pt)] + [
+    def _emit_add_plain(self, graph: ops.OpGraph, sa: Sequence[_P], pt: _P) -> list[_P]:
+        return [self._emit_poly_add(graph, sa[0], pt)] + [
             _P(graph.copy(p.value), p.domain, p.basis) for p in sa[1:]
         ]
 
-    def _emit_multiply_plain(self, em: _Emitter, sa: Sequence[_P], pt: _P) -> list[_P]:
-        graph = em.graph
+    def _emit_multiply_plain(
+        self, graph: ops.OpGraph, sa: Sequence[_P], pt: _P
+    ) -> list[_P]:
         basis = sa[0].basis
-        transformed = self._emit_ntt_batch(em, list(sa) + [pt], forward=True)
+        transformed = self._emit_ntt_batch(graph, list(sa) + [pt], forward=True)
         plaintext_ntt = transformed[-1]
         products = [
             _P(graph.mul(poly.value, plaintext_ntt.value), Domain.NTT, basis)
             for poly in transformed[:-1]
         ]
-        return self._emit_ntt_batch(em, products, forward=False)
+        return self._emit_ntt_batch(graph, products, forward=False)
 
-    # -- fused dispatch ----------------------------------------------------------------
-    def _fused_unary(self, emit, a: Ciphertext, op: str, level: int | None = None):
-        polys = self._adopt_all(a.polys)
-        key = (op, a.basis.primes, self._domains(polys))
-
-        def build():
-            em = _Emitter()
-            sa = [
-                _P(em.graph.input("a%d" % i), poly.domain, poly.basis)
-                for i, poly in enumerate(polys)
-            ]
-            return self._finish(em, emit(em, sa))
-
-        bindings = {"a%d" % i: poly.tensor for i, poly in enumerate(polys)}
-        out = self._run_plan(key, build, bindings)
-        return Ciphertext(
-            polys=out, params=self.params, level=a.level if level is None else level
-        )
-
-    def _fused_binary(self, emit, op: str, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        polys_a = self._adopt_all(a.polys)
-        polys_b = self._adopt_all(b.polys)
-        key = (op, a.basis.primes, self._domains(polys_a), self._domains(polys_b))
-
-        def build():
-            em = _Emitter()
-            sa = [
-                _P(em.graph.input("a%d" % i), poly.domain, poly.basis)
-                for i, poly in enumerate(polys_a)
-            ]
-            sb = [
-                _P(em.graph.input("b%d" % i), poly.domain, poly.basis)
-                for i, poly in enumerate(polys_b)
-            ]
-            return self._finish(em, emit(em, sa, sb))
-
-        bindings = {"a%d" % i: poly.tensor for i, poly in enumerate(polys_a)}
-        bindings.update({"b%d" % i: poly.tensor for i, poly in enumerate(polys_b)})
-        out = self._run_plan(key, build, bindings)
-        return Ciphertext(polys=out, params=self.params, level=a.level)
-
-    def _fused_with_plain(
-        self, emit, op: str, a: Ciphertext, plaintext: RnsPolynomial
-    ) -> Ciphertext:
-        polys = self._adopt_all(a.polys)
-        plain = self._adopt(plaintext)
-        key = (op, a.basis.primes, self._domains(polys), plain.domain)
-
-        def build():
-            em = _Emitter()
-            sa = [
-                _P(em.graph.input("a%d" % i), poly.domain, poly.basis)
-                for i, poly in enumerate(polys)
-            ]
-            pt = em.bind("pt", plain)
-            return self._finish(em, emit(em, sa, pt))
-
-        bindings = {"a%d" % i: poly.tensor for i, poly in enumerate(polys)}
-        bindings["pt"] = plain.tensor
-        # The plaintext is the stable operand of the two plain-operand ops:
-        # callers re-use encoded plaintexts across many ciphertexts, so the
-        # residency pass may keep its NTT image pooled across executions.
-        out = self._run_plan(key, build, bindings, constants=("pt",))
-        return Ciphertext(polys=out, params=self.params, level=a.level)
+    def _run_one(self, kind: str, *operands: Ciphertext, **attrs) -> Ciphertext:
+        """One fused operation: a one-expression :meth:`run_many` call."""
+        leaves = tuple(CiphertextExpr(None, "load", ciphertext=ct) for ct in operands)
+        return self.run_many([CiphertextExpr(None, kind, leaves, **attrs)])[0]
 
     # -- batched NTT plumbing (eager mode) ---------------------------------------------
     def _forward_ntt_batch(
@@ -633,24 +789,14 @@ class Evaluator:
         self._check_same_ring(a, b)
         if self.mode == "eager":
             return self._eager_linear(a, b, subtract=False)
-        return self._fused_binary(
-            lambda em, sa, sb: self._emit_linear(em, sa, sb, subtract=False),
-            "add",
-            a,
-            b,
-        )
+        return self._run_one("add", a, b)
 
     def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Homomorphic subtraction."""
         self._check_same_ring(a, b)
         if self.mode == "eager":
             return self._eager_linear(a, b, subtract=True)
-        return self._fused_binary(
-            lambda em, sa, sb: self._emit_linear(em, sa, sb, subtract=True),
-            "sub",
-            a,
-            b,
-        )
+        return self._run_one("sub", a, b)
 
     def _eager_linear(self, a: Ciphertext, b: Ciphertext, subtract: bool) -> Ciphertext:
         combine = self._poly_sub if subtract else self._poly_add
@@ -675,7 +821,7 @@ class Evaluator:
                 params=self.params,
                 level=a.level,
             )
-        return self._fused_unary(self._emit_negate, a, "negate")
+        return self._run_one("negate", a)
 
     def add_plain(self, a: Ciphertext, plaintext: RnsPolynomial) -> Ciphertext:
         """Add an (unencrypted) plaintext polynomial."""
@@ -685,13 +831,15 @@ class Evaluator:
                 self._adopt(poly).copy() for poly in a.polys[1:]
             ]
             return Ciphertext(polys=polys, params=self.params, level=a.level)
-        return self._fused_with_plain(self._emit_add_plain, "add_plain", a, plaintext)
+        return self._run_one("add_plain", a, plaintext=plaintext)
 
     def multiply_plain(self, a: Ciphertext, plaintext: RnsPolynomial) -> Ciphertext:
         """Multiply by an (unencrypted) plaintext polynomial.
 
         The plaintext is transformed once (not once per ciphertext
         component), in the same batched forward call as the components.
+        Callers re-use encoded plaintexts across many ciphertexts, so the
+        residency pass keeps its NTT image pooled across executions.
         """
         self._check_plain_ring(a, plaintext)
         if self.mode == "eager":
@@ -707,9 +855,7 @@ class Evaluator:
             ]
             polys = self._inverse_ntt_batch(products)
             return Ciphertext(polys=polys, params=self.params, level=a.level)
-        return self._fused_with_plain(
-            self._emit_multiply_plain, "multiply_plain", a, plaintext
-        )
+        return self._run_one("multiply_plain", a, plaintext=plaintext)
 
     # -- multiplication -------------------------------------------------------------------
     def multiply(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
@@ -731,7 +877,7 @@ class Evaluator:
             b_ntt = transformed[a.size :]
             polys = self._tensor(a_ntt, b_ntt, a.basis)
             return Ciphertext(polys=polys, params=self.params, level=a.level)
-        return self._fused_binary(self._emit_multiply, "multiply", a, b)
+        return self._run_one("multiply", a, b)
 
     def square(self, a: Ciphertext) -> Ciphertext:
         """Homomorphic squaring.
@@ -744,7 +890,7 @@ class Evaluator:
             a_ntt = self._forward_ntt_batch(list(a.polys))
             polys = self._tensor(a_ntt, a_ntt, a.basis)
             return Ciphertext(polys=polys, params=self.params, level=a.level)
-        return self._fused_unary(self._emit_square, a, "square")
+        return self._run_one("square", a)
 
     # -- relinearisation ---------------------------------------------------------------------
     def relinearize(self, a: Ciphertext, relin_key: RelinearizationKey) -> Ciphertext:
@@ -759,7 +905,9 @@ class Evaluator:
         makes this bit-identical to per-product inverse transforms, at ``np``
         times fewer inverse NTTs).  In fused mode the whole key switch is one
         plan — on the sharded backend one dispatch, with the digit rows read
-        straight out of shared memory by every worker.
+        straight out of shared memory by every worker.  Key components are
+        cached on the context, so their tensors keep a stable identity and
+        the residency pass keeps their forward transforms pooled.
         """
         if a.size == 2:
             return a.copy()
@@ -769,42 +917,7 @@ class Evaluator:
             raise ValueError("relinearisation key was generated for a different basis")
         if self.mode == "eager":
             return self._eager_relinearize(a, relin_key)
-        polys = self._adopt_all(a.polys)
-        rk = [
-            (self._adopt(rk0), self._adopt(rk1))
-            for rk0, rk1 in relin_key.components
-        ]
-        key = (
-            "relinearize",
-            a.basis.primes,
-            self._domains(polys),
-            tuple((rk0.domain, rk1.domain) for rk0, rk1 in rk),
-        )
-
-        def build():
-            em = _Emitter()
-            sa = [
-                _P(em.graph.input("c%d" % i), poly.domain, poly.basis)
-                for i, poly in enumerate(polys)
-            ]
-            srk = [
-                (em.bind("rk0_%d" % i, rk0), em.bind("rk1_%d" % i, rk1))
-                for i, (rk0, rk1) in enumerate(rk)
-            ]
-            return self._finish(em, self._emit_relinearize(em, sa, srk))
-
-        bindings = {"c%d" % i: poly.tensor for i, poly in enumerate(polys)}
-        constants = []
-        for i, (rk0, rk1) in enumerate(rk):
-            bindings["rk0_%d" % i] = rk0.tensor
-            bindings["rk1_%d" % i] = rk1.tensor
-            constants += ["rk0_%d" % i, "rk1_%d" % i]
-        # Key components are cached on the context, so their tensors keep a
-        # stable identity across calls — the residency pass hoists their
-        # forward transforms into the constant pool (2 of the 3 forward
-        # rows per digit of every subsequent relinearisation).
-        out = self._run_plan(key, build, bindings, constants=tuple(constants))
-        return Ciphertext(polys=out, params=self.params, level=a.level)
+        return self._run_one("relinearize", a, key=relin_key)
 
     def _eager_relinearize(
         self, a: Ciphertext, relin_key: RelinearizationKey
@@ -870,9 +983,4 @@ class Evaluator:
                     )
                 )
             return Ciphertext(polys=new_polys, params=self.params, level=a.level + 1)
-        return self._fused_unary(
-            lambda em, sa: self._emit_mod_switch(em, sa, t),
-            a,
-            "mod_switch",
-            level=a.level + 1,
-        )
+        return self._run_one("mod_switch", a)

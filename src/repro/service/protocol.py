@@ -146,8 +146,9 @@ def validate_request(
     Raises:
         ServiceError: With a 4xx status describing exactly what is wrong —
             version mismatch, malformed params, an unknown or mis-aried op
-            chain, a malformed request id, or ciphertexts that disagree with
-            the request params.
+            chain, a chain with more modulus switches than the inputs have
+            primes to drop, a malformed request id, or ciphertexts that
+            disagree with the request params.
     """
     if not isinstance(payload, dict):
         raise ServiceError(400, "request body must be a JSON object")
@@ -224,6 +225,24 @@ def validate_request(
         trace_sizes(tuple(ops), [len(ct.get("polys", ())) for ct in cts])
     except ValueError as exc:
         raise ServiceError(400, str(exc)) from None
+    # Each mod_switch drops one prime and at least one must remain; reject an
+    # over-deep chain here, before a tenant is built for it.
+    switches = ops.count("mod_switch")
+    if switches:
+        primes = min(
+            len(poly["primes"])
+            if isinstance(poly, dict) and isinstance(poly.get("primes"), list)
+            else 0
+            for ct in cts
+            for poly in ct.get("polys") or [None]
+        )
+        if switches >= primes:
+            raise ServiceError(
+                400,
+                "chain has %d mod_switch op(s) but the input ciphertexts carry "
+                "only %d prime(s); at least one prime must remain"
+                % (switches, primes),
+            )
     return params, seed, tuple(ops), cts, request_id
 
 

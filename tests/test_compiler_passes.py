@@ -42,7 +42,7 @@ from repro.compiler import (
     resolve_passes,
     set_default_passes,
 )
-from repro.compiler.manager import materialize_derived
+from repro.compiler.manager import _MAX_ROUNDS, materialize_derived
 from repro.he import HeContext, HEParams, bootstrap_circuit
 from repro.modarith.primes import generate_ntt_primes
 
@@ -331,6 +331,145 @@ def test_residency_is_noop_without_constants():
     assert not ctx.derived_inputs
 
 
+# ------------------------------------------------------- pass: batch_ntts
+
+
+def test_batch_ntts_merges_independent_same_direction_transforms():
+    # Three depth-1 transforms: the two forwards share one wide node, the
+    # inverse keeps its own (different direction), and the depth-2 inverse
+    # of the product is left alone.
+    g = ops.OpGraph()
+    x, y, z = g.input("x"), g.input("y"), g.input("z")
+    product = g.mul(g.forward_ntt(x), g.forward_ntt(y))
+    g.output("prod", g.inverse_ntt(product))
+    g.output("zc", g.inverse_ntt(z))
+    plan = g.compile()
+    primes = {"x": PRIMES, "y": PRIMES, "z": PRIMES}
+    rewritten, ctx = run_pass("batch_ntts", plan, primes, sweep=True)
+    assert kinds(rewritten).count("forward_ntt") == 1
+    assert kinds(rewritten).count("inverse_ntt") == 2
+    assert ctx.stats["plan.pass.batch_ntts.transforms_merged"] == 1
+    [merged] = [node for node in rewritten.nodes if isinstance(node, ops.ForwardNtt)]
+    assert isinstance(rewritten.nodes[merged.src], ops.Concat)
+    assert count_ntt_rows(rewritten, primes) == count_ntt_rows(plan, primes)
+    bindings = {
+        name: (rows_for(PRIMES, seed), PRIMES)
+        for seed, name in enumerate(("x", "y", "z"), start=1)
+    }
+    assert scalar_outputs(rewritten, bindings) == scalar_outputs(plan, bindings)
+    # At its fixpoint the pass returns the plan itself, as it does when the
+    # row counts it would slice members back out by are unknown.
+    assert run_pass("batch_ntts", rewritten, primes)[0] is rewritten
+    assert run_pass("batch_ntts", plan, {"x": PRIMES})[0] is plan
+
+
+def test_batch_ntts_never_merges_a_transform_with_its_dependent():
+    # b reads a (through a negation): same direction, but b can only run
+    # after a, so it must not join a's batch; c is independent of a.
+    g = ops.OpGraph()
+    x, y = g.input("x"), g.input("y")
+    a = g.forward_ntt(x)
+    b = g.forward_ntt(g.neg(a))
+    c = g.forward_ntt(y)
+    g.output("b", b)
+    g.output("ac", g.add(a, c))
+    plan = g.compile()
+    primes = {"x": PRIMES, "y": PRIMES}
+    rewritten, _ = run_pass("batch_ntts", plan, primes, sweep=True)
+    forwards = [
+        index
+        for index, node in enumerate(rewritten.nodes)
+        if isinstance(node, ops.ForwardNtt)
+    ]
+    assert len(forwards) == 2  # {a, c} merged, b on its own
+
+    def reaches(value, target):
+        return value == target or any(
+            reaches(op, target) for op in rewritten.nodes[value].operands()
+        )
+
+    first, second = forwards
+    assert reaches(second, first)  # b's transform reads the merged batch
+    bindings = {"x": (rows_for(PRIMES, 1), PRIMES), "y": (rows_for(PRIMES, 2), PRIMES)}
+    assert scalar_outputs(rewritten, bindings) == scalar_outputs(plan, bindings)
+
+
+def test_batch_ntts_leaves_constant_transforms_to_residency():
+    g = ops.OpGraph()
+    x, k = g.input("x"), g.input("k")
+    g.output("out", g.mul(g.forward_ntt(x), g.forward_ntt(k)))
+    plan = g.compile()
+    rewritten, _ = run_pass(
+        "batch_ntts", plan, {"x": PRIMES, "k": PRIMES}, constant_inputs=("k",)
+    )
+    assert rewritten is plan
+
+
+def _raw_plans(monkeypatch, run):
+    """The (plan, PassManager.run keywords) of every plan ``run`` compiles."""
+    seen = []
+    original = PassManager.run
+
+    def spy(self, plan, **kwargs):
+        seen.append((plan, kwargs))
+        return original(self, plan, **kwargs)
+
+    monkeypatch.setattr(PassManager, "run", spy)
+    run()
+    monkeypatch.setattr(PassManager, "run", original)
+    return seen
+
+
+def _rounds_to_fixpoint(plan, input_primes, constant_inputs):
+    ctx = PassContext(input_primes=input_primes, constant_inputs=constant_inputs)
+    for rounds in range(1, 10 * _MAX_ROUNDS):
+        before = plan
+        for name in DEFAULT_PASSES:
+            plan = PASS_REGISTRY[name].rewrite(plan, ctx)
+        if plan == before:
+            return rounds
+    raise AssertionError("default pipeline oscillates")
+
+
+@pytest.mark.parametrize("bits", (30, 60))
+def test_default_pipeline_reaches_fixpoint_within_round_bound(monkeypatch, bits):
+    ctx = HeContext.create(PARAMS[bits], backend="numpy", seed=7)
+    ct = ctx.encryptor(seed=11).encrypt(ctx.encoder().encode([1, 2, 3]))
+    relin = ctx.relinearization_key()
+
+    def run():
+        pipe = ctx.pipeline()
+        x, y = pipe.load(ct), pipe.load(ct)
+        (x * y).relinearize(relin).mod_switch().run()
+        bootstrap_circuit(ctx, pipe, ct, seed=5).run()
+
+    compiled = _raw_plans(monkeypatch, run)
+    assert len(compiled) == 2
+    for plan, kwargs in compiled:
+        rounds = _rounds_to_fixpoint(
+            plan, kwargs["input_primes"], kwargs["constant_inputs"]
+        )
+        assert rounds <= _MAX_ROUNDS
+
+
+def test_batch_ntts_narrows_bootstrap_plan_without_extra_rows():
+    ctx = HeContext.create(PARAMS[30], backend="numpy", seed=7)
+    ct = ctx.encryptor(seed=11).encrypt(ctx.encoder().encode([1, 2, 3]))
+    shapes = {}
+    for spec in ("default", ",".join(p for p in DEFAULT_PASSES if p != "batch_ntts")):
+        set_default_passes(spec)
+        pipe = ctx.pipeline()
+        bootstrap_circuit(ctx, pipe, ct, seed=5).run()
+        [(plan, _specs, rows, *_rest)] = pipe.evaluator._plan_cache.values()
+        transforms = sum(
+            isinstance(node, (ops.ForwardNtt, ops.InverseNtt)) for node in plan.nodes
+        )
+        shapes[spec] = (transforms, rows)
+    (merged, merged_rows), (unmerged, unmerged_rows) = shapes.values()
+    assert merged_rows == unmerged_rows
+    assert merged < unmerged
+
+
 # ------------------------------------------------- manager and materialise
 
 
@@ -476,6 +615,30 @@ def test_bootstrap_circuit_optimised_bit_identical(context):
     assert coeffs(cold) == coeffs(expected)
     assert coeffs(warm) == coeffs(expected)
     assert warm.level == expected.level == 1
+
+
+def test_every_single_pass_is_bit_identical_to_raw(context):
+    encryptor = context.encryptor(seed=11)
+    encoder = context.encoder()
+    relin = context.relinearization_key()
+    ct_a = encryptor.encrypt(encoder.encode([1, 2, 3]))
+    ct_b = encryptor.encrypt(encoder.encode([4, 5, 6]))
+
+    def run(spec):
+        # The chain and the bootstrap circuit as one two-statement plan,
+        # cold (constant pool seeding) and warm.
+        set_default_passes(spec)
+        pipe = context.pipeline()
+        x, y = pipe.load(ct_a), pipe.load(ct_b)
+        exprs = [
+            (x * y).relinearize(relin).mod_switch(),
+            bootstrap_circuit(context, pipe, ct_a, seed=99),
+        ]
+        return [coeffs(ct) for ct in pipe.run_many(exprs) + pipe.run_many(exprs)]
+
+    expected = run("none")
+    for name in available_passes():
+        assert run(name) == expected, name
 
 
 def test_pipeline_plain_ops_match_eager(context):

@@ -81,10 +81,10 @@ def test_transforms_bit_identical_to_scalar_and_numpy(bits, pooled, references):
         expected[name] = backend.forward_ntt_batch(tensor).to_rows()
     assert expected["scalar"] == expected["numpy"]
 
-    before = pooled.pool_dispatch_count
+    before = pooled.dispatch_count
     tensor = pooled.from_rows(rows, batch)
     forward = pooled.forward_ntt_batch(tensor)
-    assert pooled.pool_dispatch_count > before, "transform did not shard"
+    assert pooled.dispatch_count > before, "transform did not shard"
     assert forward.to_rows() == expected["scalar"]
     assert pooled.inverse_ntt_batch(forward).to_rows() == rows
 
@@ -196,13 +196,13 @@ def test_forced_pool_chain_performs_zero_conversions():
         relin = ctx.relinearization_key()
         ct_a = encryptor.encrypt(ctx.encoder().encode([1, 2, 3]))
         ct_b = encryptor.encrypt(ctx.encoder().encode([4, 5, 6]))
-        dispatches = backend.pool_dispatch_count
+        dispatches = backend.dispatch_count
         before = backend.conversion_count
         switched = evaluator.mod_switch_to_next(
             evaluator.relinearize(evaluator.multiply(ct_a, ct_b), relin)
         )
         assert backend.conversion_count == before, "chain left resident storage"
-        assert backend.pool_dispatch_count > dispatches, "chain never sharded"
+        assert backend.dispatch_count > dispatches, "chain never sharded"
         t = params.plaintext_modulus
         decoded = ctx.encoder().decode(ctx.decryptor().decrypt(switched))
         assert decoded[:3] == [(x * y) % t for x, y in zip([1, 2, 3], [4, 5, 6])]
@@ -221,12 +221,12 @@ def test_dispatch_count_accounts_every_pool_round_trip():
         batch = [p for p in primes for _ in range(2)]
         tensor = backend.from_rows(random_rows(batch, N, seed=21), batch)
         assert backend.dispatch_count == 0
-        assert backend.pool_dispatch_count == 0  # compatibility alias
+        assert backend.metrics.value("pool.dispatches") == 0  # the counter behind it
         forward = backend.forward_ntt_batch(tensor)  # eager: 1 round trip
         assert backend.dispatch_count == 1
         backend.add(forward, forward)  # eager: 1 more
         assert backend.dispatch_count == 2
-        assert backend.pool_dispatch_count == backend.dispatch_count
+        assert backend.metrics.value("pool.dispatches") == backend.dispatch_count
         backend.reset_dispatch_count()
         assert backend.dispatch_count == 0
 
@@ -256,6 +256,33 @@ def test_dispatch_count_accounts_every_pool_round_trip():
             eager.relinearize(eager.multiply(ct_a, ct_b), relin)
         )
         assert backend.dispatch_count > 3  # one per backend method call
+    finally:
+        backend.close()
+
+
+def test_coalesced_chains_keep_the_single_chain_dispatch_budget():
+    """k independent chains lowered as one plan — how the serving layer runs
+    k coalesced requests — fuse into the same <= 3 dispatches as one chain."""
+    backend = forced_backend()
+    try:
+        params = HEParams(n=64, plaintext_modulus=257, prime_bits=30, prime_count=3)
+        ctx = HeContext.create(params, backend=backend)
+        encryptor = ctx.encryptor()
+        encoder = ctx.encoder()
+        relin = ctx.relinearization_key()
+        cts = [encryptor.encrypt(encoder.encode([i + 1])) for i in range(8)]
+        pipe = ctx.pipeline()
+        for k in (1, 2, 4):
+            exprs = [
+                (pipe.load(cts[2 * r]) * pipe.load(cts[2 * r + 1]))
+                .relinearize(relin)
+                .mod_switch()
+                for r in range(k)
+            ]
+            pipe.run_many(exprs)  # cold run: compile, seed the constant pool
+            backend.reset_dispatch_count()
+            pipe.run_many(exprs)
+            assert 1 <= backend.dispatch_count <= 3, (k, backend.dispatch_count)
     finally:
         backend.close()
 
@@ -362,7 +389,7 @@ def test_pool_is_lazy_below_the_crossover():
         batch = [p for p in primes for _ in range(2)]
         tensor = backend.from_rows(rows, batch)
         forward = backend.forward_ntt_batch(tensor)
-        assert backend.pool_dispatch_count == 0, "toy shape paid the pool tax"
+        assert backend.dispatch_count == 0, "toy shape paid the pool tax"
         assert not backend.pool_running
         assert tensor.segment is None, "sub-crossover tensor went to /dev/shm"
         # the inline path is still the real engine path, bit-for-bit
@@ -386,10 +413,10 @@ def test_thresholds_separate_transform_and_pointwise():
         batch = [p for p in primes for _ in range(2)]
         tensor = backend.from_rows(random_rows(batch, N, seed=9), batch)
         backend.forward_ntt_batch(tensor)
-        transforms = backend.pool_dispatch_count
+        transforms = backend.dispatch_count
         assert transforms == 1
         backend.add(tensor, tensor)
-        assert backend.pool_dispatch_count == transforms  # stayed inline
+        assert backend.dispatch_count == transforms  # stayed inline
     finally:
         backend.close()
 

@@ -137,6 +137,25 @@ def test_validate_request_rejections():
         validate_request(mismatch)
 
 
+def test_over_deep_mod_switch_chain_rejected_before_any_tenant_is_built():
+    params = toy_params()  # three primes: at most two switches
+    context, enc, encoder = _session(params)
+    ct = enc.encrypt(encoder.encode([1]))
+    ops = ["multiply"] + ["mod_switch"] * 3
+    payload = build_request(params, ops, [ciphertext_to_dict(ct)] * 2, seed=SEED)
+    with pytest.raises(ServiceError, match="mod_switch") as err:
+        validate_request(payload)
+    assert err.value.status == 400
+    validate_request(dict(payload, ops=ops[:-1]))  # one prime left: valid
+
+    with ServerThread(batch_window=0.001) as server:
+        client = ServiceClient("127.0.0.1", server.port)
+        with pytest.raises(ServiceError) as err:
+            client.compute(params, ops, [ct, ct], seed=SEED)
+        assert err.value.status == 400
+        assert client.metrics()["server"]["service.tenants"] == 0
+
+
 def test_trace_sizes_models_every_chain():
     assert trace_sizes(("multiply",), [2, 2]) == [3]
     assert trace_sizes(("multiply", "relinearize", "mod_switch"), [2, 2]) == [3, 2, 2]
@@ -236,6 +255,39 @@ def test_execute_group_compiles_once_per_shape():
         snapshot = tenant.metrics()
         assert snapshot["plan.compiled"] == 1
         assert snapshot["plan.cache_hits"] == 1
+    finally:
+        cache.close()
+
+
+def test_group_plan_transforms_widen_instead_of_multiplying():
+    """Structural pin of cross-request batching: the k-rider plan of the
+    served chain has as many NTT nodes as the one-rider plan, each k times
+    wider (52 rows per rider at N=2048 with four primes)."""
+    from repro.backends import ops as plan_ops
+
+    params = HEParams(n=2048, plaintext_modulus=65537, prime_bits=45, prime_count=4)
+    cache = TenantCache(MetricsRegistry(), backend="numpy")
+    try:
+        tenant = cache.get(params, 5)
+        enc = tenant.context.encryptor()
+        encoder = tenant.context.encoder()
+        chain = ("multiply", "relinearize", "mod_switch")
+        shapes = []
+        for k in (1, 2):
+            requests = [
+                [enc.encrypt(encoder.encode([r + 1])), enc.encrypt(encoder.encode([2]))]
+                for r in range(k)
+            ]
+            execute_group(tenant, chain, requests)
+            plan, _specs, rows, *_rest = list(tenant.evaluator._plan_cache.values())[-1]
+            transforms = sum(
+                isinstance(node, (plan_ops.ForwardNtt, plan_ops.InverseNtt))
+                for node in plan.nodes
+            )
+            shapes.append((transforms, rows))
+        (nodes_1, rows_1), (nodes_2, rows_2) = shapes
+        assert nodes_1 == nodes_2 <= 4
+        assert (rows_1, rows_2) == (52, 2 * 52)
     finally:
         cache.close()
 
