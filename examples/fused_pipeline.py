@@ -15,8 +15,9 @@ redesigned execution API that removes it:
 3. **Fusion accounting** — on the ``parallel`` backend the chain executes
    as fused per-worker stages: the example forces every operation through
    the worker pool and prints the pool round trips (``dispatch_count``)
-   and list ↔ ndarray conversions (zero) for eager, per-op fused and
-   whole-chain pipeline execution of the *same* computation.
+   and list ↔ ndarray conversions (zero) for raw (unoptimised) per-op
+   plans, optimised per-op plans and whole-chain pipeline execution of the
+   *same* computation.
 
 Run with::
 
@@ -55,19 +56,19 @@ def main() -> None:
               % (label, backend.dispatch_count, backend.conversion_count))
         return result
 
-    # -- eager: one pool round trip per backend method call ---------------------------
-    eager = context.evaluator(mode="eager")
-    chain_eager = report(
-        "eager per-op calls",
-        lambda: eager.mod_switch_to_next(
-            eager.relinearize(eager.multiply(ct_x, ct_y), relin)
+    # -- raw per-op plans: as emitted, with the optimiser passes off ------------------
+    raw = context.evaluator(passes="none")
+    chain_raw = report(
+        "raw per-op plans",
+        lambda: raw.mod_switch_to_next(
+            raw.relinearize(raw.multiply(ct_x, ct_y), relin)
         ),
     )
 
-    # -- fused per-op plans: one dispatch per homomorphic operation -------------------
-    fused = context.evaluator(mode="fused")
+    # -- optimised per-op plans: one dispatch per homomorphic operation ---------------
+    fused = context.evaluator()
     chain_fused = report(
-        "fused per-op plans",
+        "optimised per-op plans",
         lambda: fused.mod_switch_to_next(
             fused.relinearize(fused.multiply(ct_x, ct_y), relin)
         ),
@@ -104,7 +105,7 @@ def main() -> None:
 
     # -- all three execution models are bit-for-bit identical -------------------------
     rows = lambda ct: [poly.to_coeff_lists() for poly in ct.polys]
-    assert rows(chain_eager) == rows(chain_fused) == rows(chain_pipeline)
+    assert rows(chain_raw) == rows(chain_fused) == rows(chain_pipeline)
     decoded = encoder.decode(context.decryptor().decrypt(chain_pipeline))
     expected = [(a * b) % t for a, b in zip(x, y)]
     assert decoded[: len(expected)] == expected

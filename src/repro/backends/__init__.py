@@ -33,20 +33,12 @@ declarative :class:`Plan` (built with :class:`OpGraph`, see
 :mod:`repro.backends.ops`) and the backend runs it in one shot — eagerly
 interpreted on ``scalar``/``numpy``, fused into one task per worker per plan
 stage on ``parallel``.  The per-op methods remain as the eager compatibility
-layer; the evaluator's fused/eager switch resolves via
-:func:`resolve_execution_mode` (``REPRO_EXECUTION``, or the experiments
-CLI's ``--fused``/``--eager``).
+layer: each is a one-node plan, and :func:`repro.backends.ops.interpret`
+runs plans through them.
 """
 
 from .base import ComputeBackend, ResidueRows, ResidueTensor
-from .ops import (
-    EXECUTION_ENV_VAR,
-    NODE_NAMES,
-    OpGraph,
-    Plan,
-    resolve_execution_mode,
-    set_default_execution_mode,
-)
+from .ops import NODE_NAMES, OpGraph, Plan
 from .engines import (
     ENGINE_ENV_VAR,
     NttAutoTuner,
@@ -75,7 +67,6 @@ from .scalar import ScalarBackend, ScalarTensor
 __all__ = [
     "BACKEND_ENV_VAR",
     "ENGINE_ENV_VAR",
-    "EXECUTION_ENV_VAR",
     "NODE_NAMES",
     "SHARDS_ENV_VAR",
     "ComputeBackend",
@@ -95,10 +86,8 @@ __all__ = [
     "register_backend",
     "register_engine",
     "resolve_backend",
-    "resolve_execution_mode",
     "resolve_shard_count",
     "set_default_backend",
     "set_default_engine",
-    "set_default_execution_mode",
     "set_default_shards",
 ]

@@ -30,22 +30,14 @@ Three layers live here:
   task per worker: :func:`split_stages` cuts a plan at cross-row nodes and
   :func:`shard_stage` derives each worker's row ranges for every value of
   a stage.
-
-Execution-mode selection (first match wins): explicit ``mode`` argument >
-:func:`set_default_execution_mode` > the ``REPRO_EXECUTION`` environment
-variable > ``"fused"``.  The experiments CLI exposes the same switch as
-``--fused`` / ``--eager``.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 __all__ = [
-    "EXECUTION_ENV_VAR",
-    "EXECUTION_MODES",
     "NODE_NAMES",
     "Add",
     "Concat",
@@ -67,8 +59,6 @@ __all__ = [
     "infer_primes",
     "interpret",
     "node_name",
-    "resolve_execution_mode",
-    "set_default_execution_mode",
     "shard_stage",
     "split_stages",
 ]
@@ -495,10 +485,8 @@ def gather_inputs(plan: Plan, inputs: Mapping[str, object]) -> dict[str, object]
 
 def _unknown_node_error(node: object) -> KeyError:
     return KeyError(
-        "unknown plan node %r (valid nodes: %s; plans run fused by default — "
-        "select per run with --fused/--eager on the experiments CLI or the "
-        "%s environment variable)"
-        % (type(node).__name__, ", ".join(NODE_NAMES), EXECUTION_ENV_VAR)
+        "unknown plan node %r (valid nodes: %s)"
+        % (type(node).__name__, ", ".join(NODE_NAMES))
     )
 
 
@@ -733,47 +721,3 @@ def shard_stage(
         {value: tuple(owned[worker]) for value, owned in rowsets.items()}
         for worker in range(workers)
     ]
-
-
-# ------------------------------------------------------- execution mode
-
-
-#: Environment variable selecting the evaluator execution mode.
-EXECUTION_ENV_VAR = "REPRO_EXECUTION"
-#: The two supported execution modes.
-EXECUTION_MODES = ("fused", "eager")
-
-_default_mode: str | None = None
-
-
-def _check_mode(mode: str) -> str:
-    if mode not in EXECUTION_MODES:
-        raise ValueError(
-            "unknown execution mode %r (valid: %s; select with the "
-            "--fused/--eager experiment flags or %s)"
-            % (mode, ", ".join(EXECUTION_MODES), EXECUTION_ENV_VAR)
-        )
-    return mode
-
-
-def set_default_execution_mode(mode: str | None) -> None:
-    """Install (or with ``None`` clear) the process-wide execution mode."""
-    global _default_mode
-    _default_mode = None if mode is None else _check_mode(mode)
-
-
-def resolve_execution_mode(explicit: str | None = None) -> str:
-    """Resolve the execution mode by the documented precedence.
-
-    Explicit argument > :func:`set_default_execution_mode` (the CLI's
-    ``--fused``/``--eager`` flags land there) > ``REPRO_EXECUTION`` (read at
-    call time) > ``"fused"``.
-    """
-    if explicit is not None:
-        return _check_mode(explicit)
-    if _default_mode is not None:
-        return _default_mode
-    env = os.environ.get(EXECUTION_ENV_VAR)
-    if env:
-        return _check_mode(env)
-    return "fused"

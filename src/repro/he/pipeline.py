@@ -18,9 +18,9 @@ point, :meth:`Evaluator.run_many` — into **one**
 On the ``parallel`` backend the plan executes as fused per-worker stages:
 the chain above costs **three** pool dispatches (the two cross-row steps —
 digit decomposition and modulus switching — each start a new stage) instead
-of the ten-plus round trips of the eager path, with every intermediate
-tensor staying in worker memory.  Compilation happens once per expression
-*shape*: re-running the same chain over fresh ciphertexts reuses the cached
+of the ten-plus round trips of one backend method call per step, with
+every intermediate tensor staying in worker memory.  Compilation happens
+once per expression *shape*: re-running the same chain over fresh ciphertexts reuses the cached
 plan (see :attr:`Evaluator.plan_cache_hits`).
 
 Expressions are ordinary immutable DAG nodes — sharing a sub-expression

@@ -34,6 +34,9 @@ from ..he.params import HEParams
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "MAX_N",
+    "MAX_PRIME_COUNT",
+    "MAX_PRIME_BITS",
     "FIRST_OPS",
     "CHAIN_OPS",
     "ServiceError",
@@ -65,6 +68,15 @@ CHAIN_OPS = ("relinearize", "mod_switch", "negate")
 PARAM_FIELDS = (
     "n", "plaintext_modulus", "prime_bits", "prime_count", "error_std", "name",
 )
+
+#: Largest served parameter set.  A request names its own parameters and
+#: the server generates keys for them, so these bounds cap the work one
+#: request can force.  ``MAX_N`` and ``MAX_PRIME_COUNT`` are the largest
+#: shape the repository runs (N = 2^14 with 16 primes); ``MAX_PRIME_BITS``
+#: is the widest word the vectorised wide-word path handles.
+MAX_N = 1 << 14
+MAX_PRIME_COUNT = 16
+MAX_PRIME_BITS = 62
 
 #: Longest accepted ``request_id`` (ids land in span attributes, log lines
 #: and URL paths; the bound keeps hostile ids from bloating all three).
@@ -145,10 +157,12 @@ def validate_request(
 
     Raises:
         ServiceError: With a 4xx status describing exactly what is wrong —
-            version mismatch, malformed params, an unknown or mis-aried op
-            chain, a chain with more modulus switches than the inputs have
-            primes to drop, a malformed request id, or ciphertexts that
-            disagree with the request params.
+            version mismatch, malformed params, params above the served
+            limits (``MAX_N``, ``MAX_PRIME_COUNT``, ``MAX_PRIME_BITS``), an
+            unknown or mis-aried op chain, a chain with more modulus
+            switches than the inputs have primes to drop, a malformed
+            request id, or ciphertexts that disagree with the request
+            params.
     """
     if not isinstance(payload, dict):
         raise ServiceError(400, "request body must be a JSON object")
@@ -171,6 +185,18 @@ def validate_request(
         params = HEParams(**raw_params)
     except (TypeError, ValueError) as exc:
         raise ServiceError(400, "invalid params: %s" % exc) from None
+    for field, limit in (
+        ("n", MAX_N),
+        ("prime_count", MAX_PRIME_COUNT),
+        ("prime_bits", MAX_PRIME_BITS),
+    ):
+        value = getattr(params, field)
+        if not isinstance(value, int) or value > limit:
+            raise ServiceError(
+                400,
+                "params.%s = %r: the server accepts integers up to %d"
+                % (field, value, limit),
+            )
     seed = payload.get("seed", 2020)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ServiceError(400, "'seed' must be an integer")

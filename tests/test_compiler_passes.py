@@ -642,13 +642,15 @@ def test_every_single_pass_is_bit_identical_to_raw(context):
 
 
 def test_pipeline_plain_ops_match_eager(context):
+    """The lazy plaintext chain matches the evaluator's per-op calls, each
+    executed eagerly as its own one-op plan."""
     encryptor = context.encryptor(seed=11)
     encoder = context.encoder()
     ct = encryptor.encrypt(encoder.encode([1, 2, 3]))
     plain = encoder.encode([2, 0, 1])
 
-    eager = context.evaluator(mode="eager")
-    expected = eager.add_plain(eager.multiply_plain(ct, plain), plain)
+    evaluator = context.evaluator()
+    expected = evaluator.add_plain(evaluator.multiply_plain(ct, plain), plain)
 
     pipe = context.pipeline()
     result = pipe.load(ct).mul_plain(plain).add_plain(plain).run()
@@ -727,11 +729,11 @@ def test_run_many_shares_subexpressions_in_one_plan(context):
     results = pipe.run_many([sq, twice, switched])
     assert pipe.evaluator.plans_compiled == 1
 
-    eager = context.evaluator(mode="eager")
-    assert coeffs(results[0]) == coeffs(eager.relinearize(eager.square(ct), relin))
-    assert coeffs(results[1]) == coeffs(eager.add(ct, ct))
+    raw = context.evaluator(passes="none")
+    assert coeffs(results[0]) == coeffs(raw.relinearize(raw.square(ct), relin))
+    assert coeffs(results[1]) == coeffs(raw.add(ct, ct))
     assert coeffs(results[2]) == coeffs(
-        eager.mod_switch_to_next(eager.relinearize(eager.square(ct), relin))
+        raw.mod_switch_to_next(raw.relinearize(raw.square(ct), relin))
     )
     assert results[2].level == 1
 
@@ -753,11 +755,11 @@ def test_program_front_end():
     results = program.run()
     assert set(results) == {"sq", "twice"}
 
-    eager = ctx.evaluator(mode="eager")
+    raw = ctx.evaluator(passes="none")
     assert coeffs(results["sq"]) == coeffs(
-        eager.mod_switch_to_next(eager.relinearize(eager.square(ct), relin))
+        raw.mod_switch_to_next(raw.relinearize(raw.square(ct), relin))
     )
-    assert coeffs(results["twice"]) == coeffs(eager.add(ct, ct))
+    assert coeffs(results["twice"]) == coeffs(raw.add(ct, ct))
 
     empty = ctx.program()
     with pytest.raises(ValueError, match="no statements"):

@@ -2,15 +2,17 @@
 
 Pins the user-facing half of the op-graph redesign:
 
-* every evaluator operation is bit-for-bit identical between ``fused`` and
-  ``eager`` modes, on scalar, numpy and pool-forced parallel backends;
+* every evaluator operation is bit-for-bit identical between optimised and
+  raw (``passes="none"``) plans, on scalar, numpy and pool-forced parallel
+  backends, and decrypts to the plaintext arithmetic;
 * a whole ``multiply → relinearize → mod_switch`` expression compiles into
   **one** plan that executes in ≤ 3 pool dispatches with zero boundary
   conversions on the forced-pool parallel backend;
 * plans compile once per shape (`plan_cache_hits`), shared sub-expressions
   lower once, and the expression API validates pipelines/levels the same way
-  the eager evaluator does;
-* ``RnsPolynomial.__mul__`` products match between modes.
+  the per-op evaluator does;
+* ``RnsPolynomial.__mul__``'s one-plan product matches the product taken
+  through explicit NTT-domain conversions.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import random
 
 import pytest
 
-from repro.backends import set_default_execution_mode
 from repro.backends.parallel import ParallelBackend
 from repro.he import HeContext, HEParams
 from repro.rns.poly import RnsPolynomial
@@ -48,62 +49,84 @@ def context(request):
         ctx.backend.close()
 
 
-# ------------------------------------------------- fused == eager, every op
+# -------------------------------------------- optimised == raw, every op
+
+
+def decoded(context, ciphertext):
+    return context.encoder().decode(context.decryptor().decrypt(ciphertext))[:3]
 
 
 def test_every_evaluator_op_bit_identical_between_modes(context):
     encryptor = context.encryptor(seed=11)
     encoder = context.encoder()
     relin = context.relinearization_key()
-    plain = encoder.encode([2, 0, 1])
-    ct_a = encryptor.encrypt(encoder.encode([1, 2, 3]))
-    ct_b = encryptor.encrypt(encoder.encode([4, 5, 6]))
-    fused = context.evaluator(mode="fused")
-    eager = context.evaluator(mode="eager")
-    assert fused.mode == "fused" and eager.mode == "eager"
+    a, b, p = [1, 2, 3], [4, 5, 6], [2, 0, 1]
+    plain = encoder.encode(p)
+    ct_a = encryptor.encrypt(encoder.encode(a))
+    ct_b = encryptor.encrypt(encoder.encode(b))
+    optimised = context.evaluator()
+    raw = context.evaluator(passes="none")
+    assert optimised.passes and not raw.passes
 
-    product_f = fused.multiply(ct_a, ct_b)
-    product_e = eager.multiply(ct_a, ct_b)
-    cases = [
-        (product_f, product_e),
-        (fused.add(ct_a, ct_b), eager.add(ct_a, ct_b)),
-        (fused.sub(ct_a, ct_b), eager.sub(ct_a, ct_b)),
-        (fused.add(ct_a, product_f), eager.add(ct_a, product_e)),  # mixed sizes
-        (fused.sub(ct_a, product_f), eager.sub(ct_a, product_e)),
-        (fused.negate(ct_a), eager.negate(ct_a)),
-        (fused.square(ct_a), eager.square(ct_a)),
-        (fused.add_plain(ct_a, plain), eager.add_plain(ct_a, plain)),
-        (fused.multiply_plain(ct_a, plain), eager.multiply_plain(ct_a, plain)),
-        (fused.relinearize(product_f, relin), eager.relinearize(product_e, relin)),
-        (fused.mod_switch_to_next(ct_a), eager.mod_switch_to_next(ct_a)),
+    def every_op(evaluator):
+        product = evaluator.multiply(ct_a, ct_b)
+        return [
+            product,
+            evaluator.add(ct_a, ct_b),
+            evaluator.sub(ct_a, ct_b),
+            evaluator.add(ct_a, product),  # mixed sizes
+            evaluator.sub(ct_a, product),
+            evaluator.negate(ct_a),
+            evaluator.square(ct_a),
+            evaluator.add_plain(ct_a, plain),
+            evaluator.multiply_plain(ct_a, plain),
+            evaluator.relinearize(product, relin),
+            evaluator.mod_switch_to_next(ct_a),
+        ]
+
+    t = PARAMS.plaintext_modulus
+    xy = [x * y for x, y in zip(a, b)]
+    plaintext = [
+        xy,
+        [x + y for x, y in zip(a, b)],
+        [x - y for x, y in zip(a, b)],
+        [x + z for x, z in zip(a, xy)],
+        [x - z for x, z in zip(a, xy)],
+        [-x for x in a],
+        [x * x for x in a],
+        [x + y for x, y in zip(a, p)],
+        [x * y for x, y in zip(a, p)],
+        xy,
+        a,
     ]
-    for index, (got, expected) in enumerate(cases):
+    cases = zip(every_op(optimised), every_op(raw), plaintext)
+    for index, (got, expected, values) in enumerate(cases):
         assert coeffs(got) == coeffs(expected), index
         assert got.level == expected.level, index
-    # NTT accounting matches between the modes for the headline ops.
-    assert fused.ntt_invocations == eager.ntt_invocations
+        assert decoded(context, got) == [v % t for v in values], index
+    # The optimiser never adds transforms over the plans as emitted.
+    assert optimised.ntt_invocations <= raw.ntt_invocations
 
 
-def test_pipeline_chain_matches_eager_chain(context):
+def test_pipeline_chain_matches_raw_chain(context):
     encryptor = context.encryptor(seed=11)
     encoder = context.encoder()
     relin = context.relinearization_key()
     ct_a = encryptor.encrypt(encoder.encode([1, 2, 3]))
     ct_b = encryptor.encrypt(encoder.encode([4, 5, 6]))
 
-    eager = context.evaluator(mode="eager")
-    expected = eager.mod_switch_to_next(
-        eager.relinearize(eager.multiply(ct_a, ct_b), relin)
-    )
+    raw = context.evaluator(passes="none")
+    expected = raw.mod_switch_to_next(raw.relinearize(raw.multiply(ct_a, ct_b), relin))
 
     pipe = context.pipeline()
     result = (pipe.load(ct_a) * pipe.load(ct_b)).relinearize(relin).mod_switch().run()
     assert coeffs(result) == coeffs(expected)
     assert result.level == expected.level == 1
 
-    decoded = context.encoder().decode(context.decryptor().decrypt(result))
     t = PARAMS.plaintext_modulus
-    assert decoded[:3] == [(x * y) % t for x, y in zip([1, 2, 3], [4, 5, 6])]
+    assert decoded(context, result) == [
+        (x * y) % t for x, y in zip([1, 2, 3], [4, 5, 6])
+    ]
 
 
 # ------------------------------------------------------ fusion acceptance
@@ -130,22 +153,14 @@ def test_pipeline_chain_three_dispatches_zero_conversions():
         assert backend.dispatch_count >= 1, "chain never reached the pool"
         assert backend.conversion_count == 0, "chain left resident storage"
 
-        # The per-op fused evaluator pays at most one dispatch per op too.
-        evaluator = ctx.evaluator(mode="fused")
+        # The per-op evaluator pays at most one dispatch per op too.
+        evaluator = ctx.evaluator()
         backend.reset_dispatch_count()
         chained = evaluator.mod_switch_to_next(
             evaluator.relinearize(evaluator.multiply(ct_a, ct_b), relin)
         )
         assert backend.dispatch_count <= 3
         assert coeffs(chained) == coeffs(result)
-
-        # ... while the eager path pays one per backend method call.
-        eager = ctx.evaluator(mode="eager")
-        backend.reset_dispatch_count()
-        eager.mod_switch_to_next(
-            eager.relinearize(eager.multiply(ct_a, ct_b), relin)
-        )
-        assert backend.dispatch_count > 3
     finally:
         backend.close()
 
@@ -199,9 +214,9 @@ def test_shared_subexpressions_lower_once():
     a, b = pipe.load(ct_a), pipe.load(ct_b)
     shared = a * b
     result = (shared + shared).run()
-    eager = ctx.evaluator(mode="eager")
-    product = eager.multiply(ct_a, ct_b)
-    assert coeffs(result) == coeffs(eager.add(product, product))
+    raw = ctx.evaluator(passes="none")
+    product = raw.multiply(ct_a, ct_b)
+    assert coeffs(result) == coeffs(raw.add(product, product))
 
 
 def test_pipeline_validates_usage():
@@ -218,8 +233,8 @@ def test_pipeline_validates_usage():
     with pytest.raises(ValueError, match="different pipeline"):
         pipe.run(other.load(ct))
 
-    # Level mismatches surface during lowering, like the eager checks.
-    evaluator = ctx.evaluator(mode="eager")
+    # Level mismatches surface during lowering, like the evaluator's checks.
+    evaluator = ctx.evaluator()
     switched = evaluator.mod_switch_to_next(ct)
     with pytest.raises(ValueError, match="different levels"):
         (pipe.load(ct) * pipe.load(switched)).run()
@@ -230,38 +245,22 @@ def test_pipeline_validates_usage():
     relinearised = pipe.load(ct).relinearize(relin).run()
     assert coeffs(relinearised) == coeffs(ct)
 
-    # Switching past the last level raises exactly like the eager path.
+    # Switching past the last level raises exactly like the evaluator.
     last = evaluator.mod_switch_to_next(switched)
     with pytest.raises(ValueError, match="below a single prime"):
         pipe.load(last).mod_switch().run()
-
-
-def test_evaluator_mode_resolution(monkeypatch):
-    ctx = make_context("numpy")
-    monkeypatch.delenv("REPRO_EXECUTION", raising=False)
-    assert ctx.evaluator().mode == "fused"
-    monkeypatch.setenv("REPRO_EXECUTION", "eager")
-    assert ctx.evaluator().mode == "eager"
-    assert ctx.evaluator(mode="fused").mode == "fused"
-    try:
-        set_default_execution_mode("fused")
-        assert ctx.evaluator().mode == "fused"
-    finally:
-        set_default_execution_mode(None)
 
 
 # --------------------------------------------------------- polynomial layer
 
 
 @pytest.mark.parametrize("backend_name", ["scalar", "numpy"])
-def test_poly_product_identical_between_modes(backend_name, monkeypatch):
+def test_poly_product_identical_between_modes(backend_name):
     ctx = make_context(backend_name)
     rng = random.Random(5)
     a = RnsPolynomial.random_uniform(ctx.basis, PARAMS.n, rng, backend=ctx.backend)
     b = RnsPolynomial.random_uniform(ctx.basis, PARAMS.n, rng, backend=ctx.backend)
-    monkeypatch.delenv("REPRO_EXECUTION", raising=False)
-    fused = a * b
-    monkeypatch.setenv("REPRO_EXECUTION", "eager")
-    eager = a * b
-    assert fused == eager
-    assert fused.domain == eager.domain
+    planned = a * b
+    stepwise = (a.to_ntt() * b.to_ntt()).to_coefficient()
+    assert planned == stepwise
+    assert planned.domain == stepwise.domain

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import io
 import json
 import os
@@ -23,7 +24,14 @@ from repro.service import (
     jsonable,
     params_hash,
 )
-from repro.service.protocol import trace_sizes, validate_request
+from repro.service.protocol import (
+    MAX_N,
+    MAX_PRIME_BITS,
+    MAX_PRIME_COUNT,
+    params_dict,
+    trace_sizes,
+    validate_request,
+)
 from repro.telemetry.metrics import MetricsRegistry
 
 SEED = 424242
@@ -152,6 +160,32 @@ def test_over_deep_mod_switch_chain_rejected_before_any_tenant_is_built():
         client = ServiceClient("127.0.0.1", server.port)
         with pytest.raises(ServiceError) as err:
             client.compute(params, ops, [ct, ct], seed=SEED)
+        assert err.value.status == 400
+        assert client.metrics()["server"]["service.tenants"] == 0
+
+
+@pytest.mark.parametrize(
+    "field, limit",
+    [("n", MAX_N), ("prime_count", MAX_PRIME_COUNT), ("prime_bits", MAX_PRIME_BITS)],
+)
+def test_oversized_params_rejected_before_any_tenant_is_built(field, limit):
+    params = toy_params()
+    context, enc, encoder = _session(params)
+    ct = enc.encrypt(encoder.encode([1]))
+    at_limit = dataclasses.replace(params, **{field: limit})
+    over = dataclasses.replace(params, **{field: 2 * limit if field == "n" else limit + 1})
+    payload = build_request(over, ["multiply"], [ciphertext_to_dict(ct)] * 2, seed=SEED)
+    with pytest.raises(ServiceError, match="params.%s" % field) as err:
+        validate_request(payload)
+    assert err.value.status == 400
+    # The limit itself passes the bound (and then fails the ciphertext check).
+    with pytest.raises(ServiceError, match="different parameters"):
+        validate_request(dict(payload, params=params_dict(at_limit)))
+
+    with ServerThread(batch_window=0.001) as server:
+        client = ServiceClient("127.0.0.1", server.port)
+        with pytest.raises(ServiceError) as err:
+            client.compute(over, ["multiply"], [ct, ct], seed=SEED)
         assert err.value.status == 400
         assert client.metrics()["server"]["service.tenants"] == 0
 

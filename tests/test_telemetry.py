@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import time
 
 import pytest
 
@@ -585,8 +586,13 @@ def test_profiler_lifecycle_and_validation():
     assert profiler.running
     profiler.stop()
     assert not profiler.running
+    # The sampler thread may fire between start() and stop(), so count from
+    # the stopped state: no sample lands after stop() returns.
+    before = profiler.sample_count
+    time.sleep(10 * profiler.interval)
+    assert profiler.sample_count == before
     profiler.sample_once()
-    assert profiler.sample_count == 1
+    assert profiler.sample_count == before + 1
     profiler.reset()
     assert profiler.sample_count == 0
     assert profiler.collapsed() == []
