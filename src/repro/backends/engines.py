@@ -49,7 +49,7 @@ try:  # The array paths need NumPy; the scalar row paths never touch it.
 except ImportError:  # pragma: no cover - exercised only without numpy
     np = None
 
-from ..modarith.modops import inv_mod, mul_mod, pow_mod
+from ..modarith.modops import inv_mod
 from ..telemetry import TRACER
 from ..modarith.roots import primitive_root_of_unity
 from ..transforms.bitrev import (
@@ -57,7 +57,7 @@ from ..transforms.bitrev import (
     bit_reverse_permute,
     is_power_of_two,
 )
-from ..transforms.cooley_tukey import NegacyclicTransformer, forward_twiddle_table
+from ..transforms.cooley_tukey import NegacyclicTransformer
 from ..transforms.four_step import (
     default_split,
     four_step_negacyclic_intt,
@@ -111,51 +111,57 @@ ENGINE_ENV_VAR = "REPRO_NTT_ENGINE"
 TUNE_PROFILE_ENV_VAR = "REPRO_TUNE_PROFILE"
 
 #: Engine specs the auto-tuner races when nothing picked an engine.
-DEFAULT_AUTOTUNE_CANDIDATES = ("radix2", "high_radix", "four_step", "stockham")
+DEFAULT_AUTOTUNE_CANDIDATES = ("radix2", "high_radix", "stockham")
 
 
 # --------------------------------------------------------------------- tables
 
 
-def _modular_powers(base: int, count: int, p: int) -> list[int]:
-    powers = [1] * count
-    for i in range(1, count):
-        powers[i] = mul_mod(powers[i - 1], base, p)
-    return powers
+def _stage_tables(omega_powers) -> list:
+    """Per-stage twiddle arrays of the cyclic Stockham sweep (span n down to 2).
 
-
-def _cyclic_stage_tables(n: int, omega: int, p: int) -> list:
-    """Per-stage twiddle arrays for the Stockham sweep (span n down to 2)."""
+    ``omega_powers`` holds the ``n`` powers of a primitive ``n``-th root
+    ``omega``.  The stage of span ``s`` multiplies by ``(omega^(n/s))^j`` for
+    ``j < s/2``: a strided slice of those powers.
+    """
+    n = len(omega_powers)
+    half = omega_powers[: n // 2]
     tables = []
     span = n
     while span > 1:
-        w_step = pow_mod(omega, n // span, p)
-        tables.append(np.asarray(_modular_powers(w_step, span // 2, p), dtype=np.uint64))
+        tables.append(half[:: n // span].copy())
         span //= 2
     return tables
 
 
 class _FourStepTables:
-    """Twiddle material for one ``n = n1 * n2`` four-step split."""
+    """Twiddle material for one ``n = n1 * n2`` four-step split.
+
+    The stage of span ``s`` of the inner (``n1``-point, root ``omega^n2``)
+    and outer (``n2``-point, root ``omega^n1``) sweeps multiplies by powers
+    of ``omega^(n/s)`` — the same table as the span-``s`` stage of the full
+    ``n``-point Stockham sweep — so both kernels share the tail of those
+    stage arrays.  Only the ``n2 x n1`` twist ``omega^(j2 * k1)`` is the
+    bundle's own, gathered from the ``n`` powers of ``omega``.
+    """
 
     __slots__ = ("n1", "n2", "inner_f", "outer_f", "inner_i", "outer_i", "twist_f", "twist_i")
 
-    def __init__(self, n: int, n1: int, omega: int, p: int) -> None:
+    def __init__(self, tables: "EngineTables", n1: int) -> None:
+        n = tables.n
         self.n1 = n1
         self.n2 = n // n1
-        omega_inner = pow_mod(omega, self.n2, p)
-        omega_outer = pow_mod(omega, n1, p)
-        omega_inv = inv_mod(omega, p)
-        self.inner_f = _cyclic_stage_tables(n1, omega_inner, p)
-        self.outer_f = _cyclic_stage_tables(self.n2, omega_outer, p)
-        self.inner_i = _cyclic_stage_tables(n1, inv_mod(omega_inner, p), p)
-        self.outer_i = _cyclic_stage_tables(self.n2, inv_mod(omega_outer, p), p)
-        self.twist_f = self._twist(omega, p)
-        self.twist_i = self._twist(omega_inv, p)
-
-    def _twist(self, omega: int, p: int):
-        rows = [_modular_powers(pow_mod(omega, j2, p), self.n1, p) for j2 in range(self.n2)]
-        return np.asarray(rows, dtype=np.uint64)
+        inner_stages = n1.bit_length() - 1
+        outer_stages = self.n2.bit_length() - 1
+        forward = tables.stockham_stages(inverse=False)
+        inverse = tables.stockham_stages(inverse=True)
+        self.inner_f = forward[len(forward) - inner_stages :]
+        self.outer_f = forward[len(forward) - outer_stages :]
+        self.inner_i = inverse[len(inverse) - inner_stages :]
+        self.outer_i = inverse[len(inverse) - outer_stages :]
+        exponents = (np.arange(self.n2)[:, None] * np.arange(n1)[None, :]) % n
+        self.twist_f = tables.omega_powers(inverse=False)[exponents]
+        self.twist_i = tables.omega_powers(inverse=True)[exponents]
 
 
 class EngineTables:
@@ -167,7 +173,9 @@ class EngineTables:
     Cooley-Tukey tables are built eagerly — they are what
     :meth:`repro.backends.base.ComputeBackend.warm_twiddles` warms and what
     the default engine needs; the Stockham/four-step extras appear on first
-    use.
+    use.  Every power table goes through :func:`repro.backends.wideops.power_table`
+    (the on-the-fly twiddling factorisation, vectorised) and is bit-for-bit
+    the per-element table of :mod:`repro.transforms`.
 
     Moduli at or above the single-word window (``p >= 2^31``) flip the
     ``wide`` flag: every twiddle product then runs through a Shoup-style
@@ -177,7 +185,7 @@ class EngineTables:
     """
 
     __slots__ = (
-        "n", "p", "p64", "psi", "n_inv64", "ct_forward", "ct_inverse",
+        "n", "p", "p64", "psi", "psi_inv", "n_inv64", "ct_forward", "ct_inverse",
         "_psi_powers", "_psi_inv_scaled", "_stockham_f", "_stockham_i",
         "_four_step", "wide", "wide_strategy", "_companions", "_n_inv_table",
     )
@@ -191,11 +199,10 @@ class EngineTables:
         self.p = p
         self.p64 = np.uint64(p)
         self.psi = psi_2n if psi_2n is not None else primitive_root_of_unity(2 * n, p)
+        self.psi_inv = inv_mod(self.psi, p)
         self.n_inv64 = np.uint64(inv_mod(n, p))
-        self.ct_forward = np.asarray(forward_twiddle_table(n, self.psi, p), dtype=np.uint64)
-        self.ct_inverse = np.asarray(
-            forward_twiddle_table(n, inv_mod(self.psi, p), p), dtype=np.uint64
-        )
+        self.ct_forward = wideops.power_table(self.psi, n, p)[self.bitrev]
+        self.ct_inverse = wideops.power_table(self.psi_inv, n, p)[self.bitrev]
         self._psi_powers = None
         self._psi_inv_scaled = None
         self._stockham_f = None
@@ -215,40 +222,38 @@ class EngineTables:
     def psi_powers(self):
         """Natural-order ``psi^i`` pre-twist for the auto-sorting engines."""
         if self._psi_powers is None:
-            self._psi_powers = np.asarray(
-                _modular_powers(self.psi, self.n, self.p), dtype=np.uint64
-            )
+            self._psi_powers = wideops.power_table(self.psi, self.n, self.p)
         return self._psi_powers
 
     @property
     def psi_inv_scaled(self):
         """``psi^{-i} * n^{-1}`` post-twist — folds the final scaling in."""
         if self._psi_inv_scaled is None:
-            psi_inv = inv_mod(self.psi, self.p)
-            n_inv = inv_mod(self.n, self.p)
-            powers = _modular_powers(psi_inv, self.n, self.p)
-            self._psi_inv_scaled = np.asarray(
-                [mul_mod(value, n_inv, self.p) for value in powers], dtype=np.uint64
+            self._psi_inv_scaled = wideops.power_table(
+                self.psi_inv, self.n, self.p, scale=int(self.n_inv64)
             )
         return self._psi_inv_scaled
 
+    def omega_powers(self, inverse: bool):
+        """The ``n`` powers of the cyclic root ``omega = psi^2`` (or its inverse)."""
+        root = self.psi_inv if inverse else self.psi
+        return wideops.power_table(root * root % self.p, self.n, self.p)
+
     def stockham_stages(self, inverse: bool):
         """Per-stage twiddles of the cyclic Stockham sweep, ``omega = psi^2``."""
-        omega = mul_mod(self.psi, self.psi, self.p)
         if inverse:
             if self._stockham_i is None:
-                self._stockham_i = _cyclic_stage_tables(self.n, inv_mod(omega, self.p), self.p)
+                self._stockham_i = _stage_tables(self.omega_powers(inverse=True))
             return self._stockham_i
         if self._stockham_f is None:
-            self._stockham_f = _cyclic_stage_tables(self.n, omega, self.p)
+            self._stockham_f = _stage_tables(self.omega_powers(inverse=False))
         return self._stockham_f
 
     def four_step(self, n1: int) -> _FourStepTables:
         """Twiddle bundle for the ``n1 x (n / n1)`` four-step split."""
         bundle = self._four_step.get(n1)
         if bundle is None:
-            omega = mul_mod(self.psi, self.psi, self.p)
-            bundle = _FourStepTables(self.n, n1, omega, self.p)
+            bundle = _FourStepTables(self, n1)
             self._four_step[n1] = bundle
         return bundle
 

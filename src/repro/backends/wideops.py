@@ -46,6 +46,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..modarith.roots import root_powers
+
 __all__ = [
     "NARROW_MUL_LIMIT",
     "WIDE_MUL_LIMIT",
@@ -62,6 +64,7 @@ __all__ = [
     "shoup_mul_limb",
     "shoup_mul_float",
     "mulmod",
+    "power_table",
     "scalar_mulmod",
 ]
 
@@ -146,15 +149,23 @@ def mul_hi(a, b):
 
 
 def shoup_bar(constants, p: int):
-    """Shoup companions ``floor(w * 2^64 / p)`` for a table of constants.
+    """Shoup companions ``floor(w * 2^64 / p)`` for a table of reduced constants.
 
-    Computed with Python big ints (the division must be exact at 128-bit
-    scale), returned as uint64 with the input's shape.  Each companion fits:
-    ``w < p`` implies ``w * 2^64 / p < 2^64``.
+    Exact and vectorised for every ``p < 2^62``, returned as uint64 with the
+    input's shape (each companion fits: ``w < p`` implies
+    ``w * 2^64 / p < 2^64``).  With ``2^64 = v*p + c`` (``c = 2^64 mod p``)
+    the companion splits as ``w*v + floor(w*c / p)``; the second term is a
+    Shoup quotient against ``c``'s own companion — :func:`mul_hi` estimates
+    it at most one low, and the wrapped remainder ``w*c - q*p`` in
+    ``[0, 2p)`` says whether to add the one back.  The sum is below ``2^64``,
+    so the wrapping uint64 arithmetic is exact.
     """
     table = np.asarray(constants, dtype=np.uint64)
-    bars = [(int(w) << 64) // p for w in table.ravel().tolist()]
-    return np.asarray(bars, dtype=np.uint64).reshape(table.shape)
+    p64 = np.uint64(p)
+    c, c_bar = _radix_constants(p)
+    q = mul_hi(table, c_bar)
+    q += (table * c - q * p64 >= p64).astype(np.uint64)
+    return table * np.uint64((1 << 64) // p) + q
 
 
 def float_bar(constants, p: int):
@@ -217,6 +228,26 @@ def mulmod(a, b, p: int):
     c, c_bar = _radix_constants(p)
     folded = shoup_mul_limb(mul_hi(a, b), c, c_bar, p64)
     return _cond_sub(folded + (a * b) % p64, p64)
+
+
+def power_table(base: int, count: int, p: int, scale: int = 1):
+    """``[scale * base^e mod p for e < count]`` as a uint64 array, ``p < 2^62``.
+
+    Built with the on-the-fly twiddling factorisation of Section VII,
+    ``base^e = high[e // B] * low[e % B]`` with ``B ~ sqrt(count)``: two
+    ``sqrt(count)``-sized Python-int tables (``scale`` folded into the high
+    one) and one exact :func:`mulmod` outer product, instead of ``count``
+    sequential big-int multiplications.  The values are exactly the
+    per-element powers.
+    """
+    width = 1 << ((max(count, 1) - 1).bit_length() + 1) // 2
+    low = root_powers(base, width, p)
+    strides = root_powers(pow(base, width, p), -(-count // width), p)
+    high = [scale * power % p for power in strides]
+    outer = mulmod(
+        np.asarray(high, dtype=np.uint64)[:, None], np.asarray(low, dtype=np.uint64)[None, :], p
+    )
+    return outer.ravel()[:count]
 
 
 def scalar_mulmod(x, scalar: int, p: int):

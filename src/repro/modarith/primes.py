@@ -24,17 +24,18 @@ __all__ = [
     "PrimeChain",
 ]
 
-# Deterministic Miller-Rabin witnesses: sufficient for all integers < 3.3e24,
-# which comfortably covers the <= 62-bit primes used in HE.
+# Deterministic Miller-Rabin witnesses: the first twelve primes (2..37) are
+# sufficient for all integers < 3.18e23 (> 2^78), which comfortably covers
+# the <= 62-bit primes used in HE.  (The 3.3e24 bound needs 41 as well.)
 _MILLER_RABIN_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_probable_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for integers below 2^64+.
 
-    The fixed witness set is deterministic for every integer below
-    3,317,044,064,679,887,385,961,981 (> 2^81), far above the 60-bit primes
-    used by the paper's parameter sets.
+    The fixed witness set (the twelve primes 2..37) is deterministic for
+    every integer below 318,665,857,834,031,151,167,461 (> 2^78), far above
+    the 60-bit primes used by the paper's parameter sets.
     """
     if n < 2:
         return False

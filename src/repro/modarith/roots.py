@@ -13,6 +13,8 @@ multiplicative group ``Z_p^*`` (order ``p - 1``) and raise it to
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .modops import inv_mod, pow_mod
 from .primes import is_probable_prime
 
@@ -33,7 +35,9 @@ def factorize(n: int) -> dict[int, int]:
     Trial division is sufficient here: we only factorise ``p - 1`` for
     NTT-friendly primes, where ``p - 1 = 2N * k`` and ``k`` is small relative
     to typical cryptographic hardness assumptions (these are 30-60 bit
-    primes, not RSA moduli).
+    primes, not RSA moduli).  Division stops once the cofactor is prime.
+    The cofactor is primality-tested only when a divisor changes it, so at
+    most once per distinct factor plus once up front.
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
@@ -47,12 +51,13 @@ def factorize(n: int) -> dict[int, int]:
     candidate = 7
     increments = (4, 2, 4, 2, 4, 6, 2, 6)
     index = 0
-    while candidate * candidate <= remaining:
-        if is_probable_prime(remaining):
-            break
-        while remaining % candidate == 0:
-            factors[candidate] = factors.get(candidate, 0) + 1
-            remaining //= candidate
+    remaining_is_prime = is_probable_prime(remaining)
+    while candidate * candidate <= remaining and not remaining_is_prime:
+        if remaining % candidate == 0:
+            while remaining % candidate == 0:
+                factors[candidate] = factors.get(candidate, 0) + 1
+                remaining //= candidate
+            remaining_is_prime = is_probable_prime(remaining)
         candidate += increments[index]
         index = (index + 1) % len(increments)
     if remaining > 1:
@@ -60,6 +65,7 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
+@lru_cache(maxsize=None)
 def find_generator(p: int) -> int:
     """Find a generator of the multiplicative group ``Z_p^*``.
 
@@ -93,8 +99,12 @@ def is_primitive_root_of_unity(root: int, order: int, p: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def primitive_root_of_unity(order: int, p: int) -> int:
     """Return a primitive ``order``-th root of unity modulo ``p``.
+
+    A pure function of ``(order, p)``, memoised: every transformer, table
+    set and backend asking for the same root shares one derivation.
 
     Args:
         order: Desired multiplicative order (``N`` or ``2N``); must divide
@@ -102,13 +112,17 @@ def primitive_root_of_unity(order: int, p: int) -> int:
         p: Prime modulus.
 
     Raises:
-        ValueError: if ``order`` does not divide ``p - 1``.
+        ValueError: if ``order`` does not divide ``p - 1``, or if the
+            derived root is not primitive (``p`` is not prime).
     """
     if (p - 1) % order != 0:
         raise ValueError("order %d does not divide p-1 for p=%d" % (order, p))
     generator = find_generator(p)
     root = pow_mod(generator, (p - 1) // order, p)
-    assert is_primitive_root_of_unity(root, order, p)
+    if not is_primitive_root_of_unity(root, order, p):
+        raise ValueError(
+            "no primitive %d-th root of unity found for p=%d (is it prime?)" % (order, p)
+        )
     return root
 
 
