@@ -23,7 +23,9 @@ transform path is the thing the experiments measure:
   precedence *explicit backend argument > process default
   (:func:`set_default_engine`) > ``REPRO_NTT_ENGINE`` environment variable >
   auto-tuner*, where :class:`NttAutoTuner` micro-benchmarks the candidates
-  once per shape and the backend caches the winner.
+  once per shape and the backend caches the winner.  Candidates that run
+  the same array code for a shape (radix-2 and high-radix on wide primes)
+  are timed once, and the first of them in candidate order wins.
 
 Why the vectorised variants win on a CPU: the radix-2 baseline reduces every
 butterfly output with a hardware-division ``%``.  The high-radix, four-step
@@ -32,7 +34,11 @@ of each butterfly use the branch-free conditional subtraction
 ``min(x, x - p)`` (exact for ``x < 2p`` in ``uint64``, where the wrapped
 ``x - p`` is huge whenever ``x < p``) — the software analogue of the lazy
 reductions the paper's fused passes legitimise, and the measured source of
-the speedup ``benchmarks/test_bench_engines.py`` pins.
+the speedup ``benchmarks/test_bench_engines.py`` pins.  On wide primes
+(``p >= 2^31``) radix-2 and high-radix share one sweep that goes further:
+Harvey's lazy butterflies keep values in ``[0, 4p)`` with a single
+reduction at the end, and the short-stride stages run on a transpose so
+every pass reads long unit-stride runs (:func:`_ct_forward_wide`).
 """
 
 from __future__ import annotations
@@ -181,13 +187,16 @@ class EngineTables:
     ``wide`` flag: every twiddle product then runs through a Shoup-style
     kernel from :mod:`repro.backends.wideops` (limb decomposition or the
     float64 quotient trick, selected per prime size), against lazily built
-    per-table companion arrays cached in ``_companions``.
+    per-table companion arrays cached in ``_companions``.  The Cooley-Tukey
+    tables feed the lazy sweeps, so their companions are kept only in the
+    split form :func:`repro.backends.wideops.lazy_bar` returns.
     """
 
     __slots__ = (
         "n", "p", "p64", "psi", "psi_inv", "n_inv64", "ct_forward", "ct_inverse",
         "_psi_powers", "_psi_inv_scaled", "_stockham_f", "_stockham_i",
-        "_four_step", "wide", "wide_strategy", "_companions", "_n_inv_table",
+        "_four_step", "wide", "wide_strategy", "_companions", "_inverse_scale",
+        "two_p64",
     )
 
     def __init__(self, n: int, p: int, psi_2n: int | None = None) -> None:
@@ -198,6 +207,7 @@ class EngineTables:
         self.n = n
         self.p = p
         self.p64 = np.uint64(p)
+        self.two_p64 = np.uint64(2 * p)
         self.psi = psi_2n if psi_2n is not None else primitive_root_of_unity(2 * n, p)
         self.psi_inv = inv_mod(self.psi, p)
         self.n_inv64 = np.uint64(inv_mod(n, p))
@@ -210,8 +220,8 @@ class EngineTables:
         self._four_step: dict[int, _FourStepTables] = {}
         self.wide = p >= NARROW_MUL_LIMIT
         self.wide_strategy = wideops.select_strategy(p) if self.wide else None
-        self._companions: dict[int, object] = {}
-        self._n_inv_table = None
+        self._companions: dict[object, object] = {}
+        self._inverse_scale = None
 
     @property
     def bitrev(self):
@@ -259,11 +269,14 @@ class EngineTables:
 
     # -- wide-word (31-62 bit) twiddle products --------------------------------
     @property
-    def n_inv_table(self):
-        """``n^{-1}`` as a length-1 array, for the broadcasting wide kernels."""
-        if self._n_inv_table is None:
-            self._n_inv_table = np.asarray([self.n_inv64], dtype=np.uint64)
-        return self._n_inv_table
+    def inverse_scale(self):
+        """``[n^{-1}, W * n^{-1}]`` with ``W = ct_inverse[1]``: the last inverse stage's factors."""
+        if self._inverse_scale is None:
+            n_inv = int(self.n_inv64)
+            self._inverse_scale = np.asarray(
+                [n_inv, int(self.ct_inverse[1]) * n_inv % self.p], dtype=np.uint64
+            )
+        return self._inverse_scale
 
     def companions(self, table):
         """Lazily built Shoup companions for one of this instance's tables.
@@ -282,6 +295,19 @@ class EngineTables:
                 bar = wideops.float_bar(table, self.p)
             else:
                 bar = wideops.shoup_bar(table, self.p)
+            self._companions[key] = bar
+        return bar
+
+    def lazy_companions(self, table) -> tuple:
+        """Companions of ``table`` for :func:`repro.backends.wideops.shoup_mul_lazy`.
+
+        Cached by array identity like :meth:`companions`; a table used by
+        the lazy sweeps stores only these.
+        """
+        key = (id(table), "lazy")
+        bar = self._companions.get(key)
+        if bar is None:
+            bar = wideops.lazy_bar(table, self.p, self.wide_strategy)
             self._companions[key] = bar
         return bar
 
@@ -353,57 +379,161 @@ def _stockham_sweep_wide(a, stage_tables, tables: "EngineTables"):
     return source
 
 
+def _tail_split(n: int) -> int:
+    """``C = 2^ceil(log2(n) / 2)``: the chunk size of the lazy sweeps' tail."""
+    return 1 << (n.bit_length() // 2)
+
+
+def _transposed(block, rows: int, columns: int):
+    """A contiguous ``(batch, columns, rows)`` copy of a ``(batch, rows * columns)`` block."""
+    batch = block.shape[0]
+    return np.ascontiguousarray(block.reshape(batch, rows, columns).transpose(0, 2, 1))
+
+
+def _stage_twiddles(arrays, m: int):
+    """The twiddles ``table[m:2m]`` of one in-place stage, broadcastable to ``(batch, m, t)``."""
+    return [array[m : 2 * m].reshape(1, m, 1) for array in arrays]
+
+
+def _tail_twiddles(arrays, m: int, rows: int, groups: int):
+    """``table[m:2m]`` of one tail stage, broadcastable to ``(batch, groups, t, rows)``.
+
+    In the ``(batch, C, n/C)`` layout element ``[c, r]`` is index ``r*C + c``,
+    whose butterfly group is ``r * groups + c // 2t``: the stage's twiddles
+    read as an ``(n/C, groups)`` matrix, transposed (a view, not a copy).
+    """
+    return [array[m : 2 * m].reshape(rows, groups).T[None, :, None, :] for array in arrays]
+
+
 def _ct_forward_wide(block, tables: "EngineTables"):
-    """Wide-modulus Cooley-Tukey forward sweep (radix-2 stage order).
+    """Wide-modulus Cooley-Tukey forward sweep with lazy (Harvey) butterflies.
 
     Shared by the radix-2 and high-radix engines on wide primes: pass
-    grouping is a loop-nesting change only on the array path, and with no
-    native ``%`` available above 2^31 both engines reduce identically
-    (Shoup products, conditional-subtract adds) — still bit-for-bit with
-    the narrow paths because every value stays fully reduced per stage.
+    grouping is a loop-nesting change only on the array path, so both run
+    this one sweep (and the autotuner times it once).  Values stay in
+    ``[0, 4p)`` between stages — below ``2^64`` for every ``p < 2^62``:
+
+    * ``X' = min(X, X - 2p)`` brings the upper operand to ``[0, 2p)``;
+    * ``T = Y * W`` by :func:`~repro.backends.wideops.shoup_mul_lazy` lies in
+      ``[0, 2p)`` (``Y < 4p`` is inside both strategies' exact range);
+    * ``X' + T`` and ``X' - T + 2p`` are written straight into the two halves,
+      both in ``[0, 4p)``.
+
+    One full reduction at the end yields exactly the strict sweep's values.
+    The stages with ``t >= C/2`` (``C = 2^ceil(log2(n)/2)``) run in place;
+    the rest butterfly within contiguous ``C``-element chunks, so the sweep
+    makes one contiguous transpose to ``(batch, C, n/C)`` and runs them
+    there with inner loops ``n/C`` long instead of ``t`` — the array
+    analogue of the paper's two-kernel shared-memory split.
     """
-    p64 = tables.p64
-    table = tables.ct_forward
-    bar = tables.companions(table)
     batch, n = block.shape
-    t = n // 2
-    m = 1
-    while m < n:
+    if n == 1:  # the length-1 transform is the identity
+        return block
+    table = tables.ct_forward
+    arrays = (table,) + tables.lazy_companions(table)
+    strategy, p64, two_p = tables.wide_strategy, tables.p64, tables.two_p64
+    work = np.empty((4, batch * n // 2), dtype=np.uint64)
+
+    def butterflies(upper, lower, twiddles):
+        w, *bar = twiddles
+        x, y, product, scratch = (buffer.reshape(upper.shape) for buffer in work)
+        # Gather both halves first: NumPy's vector loops need contiguous
+        # operands, and two strided copies cost less than strided arithmetic.
+        np.copyto(y, lower)
+        wideops.shoup_mul_lazy(y, w, bar, p64, strategy, out=product, scratch=scratch)
+        np.copyto(x, upper)
+        np.subtract(x, two_p, out=y)
+        np.minimum(x, y, out=x)
+        np.add(x, product, out=upper)
+        np.subtract(x, product, out=y)
+        np.add(y, two_p, out=lower)
+
+    split = _tail_split(n)
+    m, t = 1, n // 2
+    while m < n and 2 * t >= split:
         view = block.reshape(batch, m, 2 * t)
-        upper = view[:, :, :t]
-        lower = view[:, :, t:]
-        product = tables.wide_mul(
-            lower, table[m : 2 * m].reshape(1, m, 1), bar[m : 2 * m].reshape(1, m, 1)
-        )
-        total = upper + product
-        difference = upper + (p64 - product)
-        view[:, :, :t] = _cond_sub(total, p64)
-        view[:, :, t:] = _cond_sub(difference, p64)
-        m *= 2
-        t //= 2
-    return block
+        butterflies(view[:, :, :t], view[:, :, t:], _stage_twiddles(arrays, m))
+        m, t = 2 * m, t // 2
+    if m < n:
+        rows = n // split
+        tail = _transposed(block, rows, split)
+        while m < n:
+            groups = split // (2 * t)
+            view = tail.reshape(batch, groups, 2 * t, rows)
+            butterflies(view[:, :, :t], view[:, :, t:], _tail_twiddles(arrays, m, rows, groups))
+            m, t = 2 * m, t // 2
+        block.reshape(batch, rows, split)[...] = tail.transpose(0, 2, 1)
+    scratch = work[:2].reshape(batch, n)
+    np.subtract(block, two_p, out=scratch)
+    np.minimum(block, scratch, out=block)
+    np.subtract(block, p64, out=scratch)
+    return np.minimum(block, scratch, out=block)
 
 
 def _gs_inverse_wide(block, tables: "EngineTables"):
-    """Wide-modulus Gentleman-Sande inverse sweep with folded ``n^{-1}``."""
-    p64 = tables.p64
-    table = tables.ct_inverse
-    bar = tables.companions(table)
+    """Wide-modulus Gentleman-Sande inverse sweep, lazy, with ``n^{-1}`` folded in.
+
+    The mirror of :func:`_ct_forward_wide`: values stay in ``[0, 2p)``
+    between stages — the sum ``X + Y`` is brought back from ``[0, 4p)`` with
+    one ``min(s, s - 2p)``, the difference enters the lazy product as
+    ``X - Y + 2p`` in ``(0, 4p)`` and leaves it in ``[0, 2p)``.  The stages
+    with ``t < C/2`` run first on the ``(batch, C, n/C)`` transpose (the
+    transposed head), the rest in place.  The last stage (``m = 1``) also
+    applies ``n^{-1}``: the sum half is multiplied by ``n^{-1}`` and the
+    difference half by ``W * n^{-1}``, so no separate scaling pass is run.
+    One ``min(x, x - p)`` at the end fully reduces.
+    """
     batch, n = block.shape
-    t = 1
-    m = n // 2
+    if n == 1:  # the length-1 transform is the identity
+        return block
+    table = tables.ct_inverse
+    arrays = (table,) + tables.lazy_companions(table)
+    scale = tables.inverse_scale
+    scale_arrays = (scale,) + tables.lazy_companions(scale)
+    strategy, p64, two_p = tables.wide_strategy, tables.p64, tables.two_p64
+    work = np.empty((4, batch * n // 2), dtype=np.uint64)
+
+    def butterflies(upper, lower, twiddles, last=False):
+        w, *bar = twiddles
+        total, y, difference, scratch = (buffer.reshape(upper.shape) for buffer in work)
+        np.copyto(total, upper)
+        np.copyto(y, lower)
+        np.subtract(total, y, out=difference)
+        np.add(difference, two_p, out=difference)
+        np.add(total, y, out=total)
+        if last:
+            n_inv, *n_inv_bar = (array[:1] for array in scale_arrays)
+            wideops.shoup_mul_lazy(total, n_inv, n_inv_bar, p64, strategy, out=y, scratch=scratch)
+            np.copyto(upper, y)
+        else:
+            np.subtract(total, two_p, out=y)
+            np.minimum(total, y, out=upper)
+        wideops.shoup_mul_lazy(difference, w, bar, p64, strategy, out=y, scratch=scratch)
+        np.copyto(lower, y)
+
+    split = _tail_split(n)
+    rows = n // split
+    m, t = n // 2, 1
+    if 2 * t < split:
+        head = _transposed(block, rows, split)
+        while 2 * t < split:
+            groups = split // (2 * t)
+            view = head.reshape(batch, groups, 2 * t, rows)
+            butterflies(view[:, :, :t], view[:, :, t:], _tail_twiddles(arrays, m, rows, groups))
+            m, t = m // 2, 2 * t
+        block.reshape(batch, rows, split)[...] = head.transpose(0, 2, 1)
     while m >= 1:
         view = block.reshape(batch, m, 2 * t)
-        upper = view[:, :, :t].copy()
-        lower = view[:, :, t:].copy()
-        view[:, :, :t] = _cond_sub(upper + lower, p64)
-        difference = _cond_sub(upper + (p64 - lower), p64)
-        view[:, :, t:] = tables.wide_mul(
-            difference, table[m : 2 * m].reshape(1, m, 1), bar[m : 2 * m].reshape(1, m, 1)
+        twiddles = (
+            [array[1:2].reshape(1, 1, 1) for array in scale_arrays]
+            if m == 1
+            else _stage_twiddles(arrays, m)
         )
-        m //= 2
-        t *= 2
-    return tables.wide_mul(block, tables.n_inv_table, tables.companions(tables.n_inv_table))
+        butterflies(view[:, :, :t], view[:, :, t:], twiddles, last=m == 1)
+        m, t = m // 2, 2 * t
+    scratch = work[:2].reshape(batch, n)
+    np.subtract(block, p64, out=scratch)
+    return np.minimum(block, scratch, out=block)
 
 
 def _four_step_cyclic(a, bundle: _FourStepTables, p64, inverse: bool):
@@ -504,6 +634,14 @@ class NttEngine(abc.ABC):
     def inverse_array(self, block, tables: EngineTables):
         """Inverse-transform a ``(batch, n)`` uint64 block (may run in place)."""
 
+    def array_kernel(self, tables: EngineTables):
+        """Identity of the array code this engine runs on ``tables``' modulus.
+
+        Engines whose array paths coincide for a modulus return the same
+        key, and the auto-tuner times each distinct key once.
+        """
+        return self.spec
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "%s(spec=%r)" % (type(self).__name__, self.spec)
 
@@ -513,7 +651,9 @@ class Radix2Engine(NttEngine):
 
     This is the pre-engine data plane unchanged — the baseline every other
     engine is benchmarked against — and the scalar side *is* the reference
-    :class:`~repro.transforms.cooley_tukey.NegacyclicTransformer`.
+    :class:`~repro.transforms.cooley_tukey.NegacyclicTransformer`.  Wide
+    primes have no native ``%``; there the array path is the lazy sweep
+    :func:`_ct_forward_wide` / :func:`_gs_inverse_wide`.
     """
 
     name = "radix2"
@@ -524,6 +664,9 @@ class Radix2Engine(NttEngine):
 
     def inverse_row(self, row, transformer):
         return transformer.inverse(row)
+
+    def array_kernel(self, tables):
+        return _ct_forward_wide if tables.wide else self.spec
 
     def forward_array(self, block, tables):
         if tables.wide:
@@ -602,6 +745,9 @@ class HighRadixEngine(NttEngine):
         # Pass grouping is a memory-schedule change only; the inverse
         # butterflies are the same Gentleman-Sande sweep as radix-2.
         return transformer.inverse(row)
+
+    def array_kernel(self, tables):
+        return _ct_forward_wide if tables.wide else self.spec
 
     def forward_array(self, block, tables):
         if tables.wide:
@@ -996,18 +1142,32 @@ class NttAutoTuner:
             raise ValueError("repeats must be at least 1")
         self.repeats = repeats
 
-    def pick(self, runner: Callable[[NttEngine], object]) -> tuple[str, dict[str, float]]:
-        """Return ``(winning spec, {spec: best seconds})`` for the workload."""
+    def pick(
+        self,
+        runner: Callable[[NttEngine], object],
+        kernel: Callable[[NttEngine], object] | None = None,
+    ) -> tuple[str, dict[str, float]]:
+        """Return ``(winning spec, {spec: best seconds})`` for the workload.
+
+        ``kernel`` maps an engine to the identity of the code it runs for
+        this shape (:meth:`NttEngine.array_kernel`); candidates sharing a
+        kernel are timed once and share its timing, so the first of them
+        wins rather than timer noise.
+        """
         timings: dict[str, float] = {}
+        measured: dict[object, float] = {}
         for spec in self.candidates:
             engine = get_engine(spec)
-            runner(engine)  # warm-up: builds twiddle tables off the clock
-            best = float("inf")
-            for _ in range(self.repeats):
-                start = time.perf_counter()
-                runner(engine)
-                best = min(best, time.perf_counter() - start)
-            timings[spec] = best
+            key = kernel(engine) if kernel is not None else spec
+            if key not in measured:
+                runner(engine)  # warm-up: builds twiddle tables off the clock
+                best = float("inf")
+                for _ in range(self.repeats):
+                    start = time.perf_counter()
+                    runner(engine)
+                    best = min(best, time.perf_counter() - start)
+                measured[key] = best
+            timings[spec] = measured[key]
         if not timings:
             return "radix2", timings
         return min(timings, key=timings.__getitem__), timings
@@ -1077,7 +1237,8 @@ class EngineSelectionMixin:
                 "ntt.autotune", n=n, p_bits=key[1], batch=batch
             ):
                 choice, timings = self._tuner.pick(
-                    lambda engine: self._autotune_run(engine, n, p, batch)
+                    lambda engine: self._autotune_run(engine, n, p, batch),
+                    lambda engine: self._autotune_kernel(engine, n, p),
                 )
             self._engine_choices[key] = choice
             self._engine_timings[key] = timings
@@ -1089,3 +1250,11 @@ class EngineSelectionMixin:
     def _autotune_run(self, engine: NttEngine, n: int, p: int, batch: int) -> None:
         """Execute one representative transform through ``engine`` (override me)."""
         raise NotImplementedError
+
+    def _autotune_kernel(self, engine: NttEngine, n: int, p: int):
+        """Identity of the code ``engine`` runs for ``(n, p)`` on this backend.
+
+        The row paths of distinct engines differ, so the default is the
+        spec; array backends override it with :meth:`NttEngine.array_kernel`.
+        """
+        return engine.spec

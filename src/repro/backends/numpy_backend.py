@@ -142,6 +142,11 @@ class NumpyBackend(EngineSelectionMixin, ComputeBackend):
             rows = [self._fallback._tune_row(n, p)]
             engine.forward_rows(rows, self._fallback.transformer(n, p))
 
+    def _autotune_kernel(self, engine: NttEngine, n: int, p: int):
+        if p < vector_mul_limit():
+            return engine.array_kernel(self._context(n, p))
+        return engine.spec
+
     def _tune_block(self, n: int, p: int, batch: int) -> np.ndarray:
         key = (n, p, batch)
         block = self._tune_blocks.get(key)

@@ -31,6 +31,30 @@ kernels are cross-checked against):
   Shoup twiddle products, and on primes it covers it needs ~3 array ops per
   element instead of the limb path's ~10.
 
+Both kernels also come in a **lazy** flavour, :func:`shoup_mul_lazy`, for
+the NTT sweeps that keep values in ``[0, 4p)`` between stages (Harvey,
+*Faster arithmetic for number-theoretic transforms*, J. Symb. Comp. 2014).
+It returns the product in ``[0, 2p)`` and saves work on both sides:
+
+* *limb* — the quotient estimate keeps only three of :func:`mul_hi`'s four
+  limb products, ``x_hi*b_hi + (x_hi*b_lo >> 32) + (x_lo*b_hi >> 32)``, with
+  no carry propagation.  The dropped terms — the high half of
+  ``x_lo*b_lo`` and the low halves of the two cross products, all in the
+  ``2^32`` column — are each below ``2^32``, so together they carry at
+  most 2 into the high word: the estimate is at most 2 below
+  ``mul_hi(x, w_bar)``, which is itself at most 1 below the true quotient.
+  The wrapped remainder therefore lies in ``[0, 4p)`` (below ``2^64`` for
+  ``p < 2^62``) and one ``min(r, r - 2p)`` brings it to ``[0, 2p)``.  The
+  companion is stored pre-split into its 32-bit halves (:func:`lazy_bar`),
+  the same bytes as one ``uint64`` table.  Valid for any ``x < 2^64``.
+* *float* — the float kernel without its final conditional subtraction.
+  For ``x < 4p`` and ``p < 2^50`` the exact quotient ``x*w/p`` is below
+  ``4p <= 2^52 - 4``; the two roundings (``w/p`` and the product, each a
+  relative error of at most ``2^-53``) move it by less than
+  ``(2^52 - 4) * 2^-52 < 1``, so the truncated estimate is within ±1 of the
+  true quotient.  An overshoot wraps negative and is added back
+  (``min(r, r + p)``), an undershoot leaves ``r`` in ``[p, 2p)``.
+
 Strategy selection is per prime size (:func:`select_strategy`): float below
 ``2^50``, limbs above — overridable with ``REPRO_WIDE_STRATEGY`` for tests
 and experiments.  The widened window itself can be disabled with
@@ -63,6 +87,8 @@ __all__ = [
     "shoup_mul",
     "shoup_mul_limb",
     "shoup_mul_float",
+    "lazy_bar",
+    "shoup_mul_lazy",
     "mulmod",
     "power_table",
     "scalar_mulmod",
@@ -207,6 +233,59 @@ def shoup_mul(x, w, bar, p64, strategy: str):
     if strategy == "float":
         return shoup_mul_float(x, w, bar, p64)
     return shoup_mul_limb(x, w, bar, p64)
+
+
+def lazy_bar(constants, p: int, strategy: str) -> tuple:
+    """Companions of a table of reduced constants for :func:`shoup_mul_lazy`.
+
+    *limb*: ``(lo, hi)``, the 32-bit halves of ``floor(w * 2^64 / p)`` as
+    ``uint32`` arrays (together the size of one ``uint64`` companion table);
+    *float*: ``(w / p,)`` as float64.
+    """
+    if strategy == "float":
+        return (float_bar(constants, p),)
+    bar = shoup_bar(constants, p)
+    return (bar & _MASK32).astype(np.uint32), (bar >> _SHIFT32).astype(np.uint32)
+
+
+def shoup_mul_lazy(x, w, bar, p64, strategy: str, out=None, scratch=None):
+    """``(x * w) mod p`` up to one ``p``: the result lies in ``[0, 2p)``.
+
+    ``bar`` comes from :func:`lazy_bar` for the same ``strategy``.  Exact
+    (see the module docstring) for any ``x < 2^64`` with *limb* and for
+    ``x < 4p`` with *float* (``p < 2^50``).  ``out`` and ``scratch`` are
+    optional ``uint64`` buffers of the broadcast shape, neither aliasing
+    ``x``; the NTT sweeps pass a per-sweep workspace so no stage allocates.
+    """
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(w)), dtype=np.uint64)
+    if scratch is None:
+        scratch = np.empty_like(out)
+    if strategy == "float":
+        (w_over_p,) = bar
+        quotient = scratch.view(np.float64)
+        np.multiply(x, w_over_p, out=quotient)
+        np.copyto(out, quotient, casting="unsafe")  # truncates: q within ±1
+        np.multiply(out, p64, out=out)
+        np.multiply(x, w, out=scratch)
+        np.subtract(scratch, out, out=scratch)  # in [-p, 2p) as a signed value
+        np.add(scratch, p64, out=out)  # the add-back wins the min only if negative
+        return np.minimum(scratch, out, out=out)
+    bar_lo, bar_hi = bar
+    np.right_shift(x, _SHIFT32, out=scratch)
+    np.multiply(scratch, bar_hi, out=out)
+    np.multiply(scratch, bar_lo, out=scratch)
+    np.right_shift(scratch, _SHIFT32, out=scratch)
+    np.add(out, scratch, out=out)
+    np.bitwise_and(x, _MASK32, out=scratch)
+    np.multiply(scratch, bar_hi, out=scratch)
+    np.right_shift(scratch, _SHIFT32, out=scratch)
+    np.add(out, scratch, out=out)  # quotient estimate, at most 3 low
+    np.multiply(out, p64, out=out)
+    np.multiply(x, w, out=scratch)
+    np.subtract(scratch, out, out=scratch)  # r in [0, 4p)
+    np.subtract(scratch, p64 + p64, out=out)
+    return np.minimum(scratch, out, out=out)
 
 
 @lru_cache(maxsize=None)

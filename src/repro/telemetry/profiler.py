@@ -87,6 +87,7 @@ class SamplingProfiler:
         self.interval = interval
         self._counts: dict[str, int] = {}
         self._samples = 0
+        self._lost = 0
         self._lock = threading.Lock()
         self._stop_event: threading.Event | None = None
         self._thread: threading.Thread | None = None
@@ -99,6 +100,11 @@ class SamplingProfiler:
     def sample_count(self) -> int:
         """Sampler wakeups so far (each snapshots every live thread)."""
         return self._samples
+
+    @property
+    def lost_samples(self) -> int:
+        """Sampler wakeups whose sample raised; the sampler went on after each."""
+        return self._lost
 
     # -- lifecycle -------------------------------------------------------------
     def start(self) -> None:
@@ -126,12 +132,17 @@ class SamplingProfiler:
         with self._lock:
             self._counts = {}
             self._samples = 0
+            self._lost = 0
 
     # -- sampling --------------------------------------------------------------
     def _run(self) -> None:
         stop = self._stop_event
         while not stop.wait(self.interval):
-            self.sample_once()
+            try:
+                self.sample_once()
+            except Exception:  # noqa: BLE001 - one lost sample must not end sampling
+                with self._lock:
+                    self._lost += 1
 
     def sample_once(self) -> None:
         """Take one sample of every thread (public for deterministic tests)."""
@@ -144,11 +155,11 @@ class SamplingProfiler:
                     continue
                 parts = []
                 depth = 0
-                while frame is not None and depth < MAX_DEPTH:
-                    code = frame.f_code
-                    parts.append(
-                        "%s.%s" % (frame.f_globals.get("__name__", "?"), code.co_name)
-                    )
+                # Another thread's stack can change under the walk; stop at
+                # anything that is not a frame (seen: a function object).
+                while hasattr(frame, "f_code") and depth < MAX_DEPTH:
+                    module = frame.f_globals.get("__name__", "?")
+                    parts.append("%s.%s" % (module, frame.f_code.co_name))
                     frame = frame.f_back
                     depth += 1
                 parts.reverse()

@@ -331,6 +331,36 @@ def test_autotuner_pick_returns_registered_winner():
     assert all(value > 0 for value in timings.values())
 
 
+def test_cold_wide_autotune_times_the_shared_sweep_once(monkeypatch):
+    """On a wide prime radix-2 and high-radix run the same sweep, so one cold
+    autotune runs it once for warm-up plus the tuner's repeats — not twice
+    that — and both engines report the same timing."""
+    from repro.backends import engines
+
+    monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+    calls = []
+    sweep = engines._ct_forward_wide
+
+    def counting_sweep(block, tables):
+        calls.append(block.shape)
+        return sweep(block, tables)
+
+    monkeypatch.setattr(engines, "_ct_forward_wide", counting_sweep)
+    backend = NumpyBackend()
+    n = 64
+    p = generate_ntt_primes(60, 1, n)[0]
+    backend._select_engine(n, p, 2)
+    assert len(calls) == 1 + backend._tuner.repeats
+    timings = backend.engine_timings[(n, p.bit_length(), 2)]
+    assert set(timings) == set(DEFAULT_AUTOTUNE_CANDIDATES)
+    assert timings["radix2"] == timings["high_radix"]
+    # A narrow prime keeps the two array kernels apart.
+    narrow = generate_ntt_primes(30, 1, n)[0]
+    backend._select_engine(n, narrow, 2)
+    narrow_timings = backend.engine_timings[(n, narrow.bit_length(), 2)]
+    assert narrow_timings["radix2"] != narrow_timings["high_radix"]
+
+
 # ------------------------------------------------------------ bitrev helper
 
 

@@ -598,6 +598,50 @@ def test_profiler_lifecycle_and_validation():
     assert profiler.collapsed() == []
 
 
+def test_profiler_walk_stops_at_a_non_frame_and_keeps_sampling(monkeypatch):
+    """A stack whose ``f_back`` chain ends in a function object (seen in a
+    served run) is sampled up to that point, and a sample that raises does
+    not end the sampling thread."""
+    import sys
+    from types import SimpleNamespace
+
+    from repro.telemetry import SamplingProfiler
+
+    def stray():  # what the broken chain pointed at instead of a frame
+        pass
+
+    def fake_frame(name, back):
+        return SimpleNamespace(
+            f_code=SimpleNamespace(co_name=name), f_globals={"__name__": "mod"}, f_back=back
+        )
+
+    chain = fake_frame("leaf", fake_frame("root", stray))
+    calls = []
+
+    def current_frames():
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("stack changed during the snapshot")
+        return {-1: chain}
+
+    monkeypatch.setattr(sys, "_current_frames", current_frames)
+    profiler = SamplingProfiler(interval=0.001)
+    profiler.sample_once()
+    assert profiler.sample_count == 1
+    assert profiler.collapsed() == ["mod.root;mod.leaf 1"]
+
+    profiler.start()
+    try:
+        deadline = time.monotonic() + 30
+        while profiler.sample_count < 4 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert profiler.sample_count >= 4  # sampling went on past the raising call
+        assert profiler.lost_samples == 1
+        assert profiler.running
+    finally:
+        profiler.stop()
+
+
 # ------------------------------------------------- prometheus text format
 
 
